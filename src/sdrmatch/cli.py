@@ -225,6 +225,9 @@ def _resolve_threads(flag_value) -> int:
             raise InvalidArgument(
                 f"SDRMATCH_THREADS must be an integer, got {env!r}"
             ) from None
+    # the CPUs this process may run on, which a container or taskset can limit
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -111,24 +111,52 @@ def build_metric(scores, ridge: float | None = None) -> MahalanobisMetric:
     return MahalanobisMetric(inverse_covariance=0.5 * (inv + inv.T))
 
 
-def _squared_distances(queries: np.ndarray, donors: np.ndarray,
-                       inv_cov: np.ndarray) -> np.ndarray:
-    diff = queries[:, None, :] - donors[None, :, :]
-    d2 = np.einsum("qdk,kl,qdl->qd", diff, inv_cov, diff)
+def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Canonical squared distance diff' inv diff for each row of diff, clamped at 0.
+
+    The terms (diff_k inv_kl) diff_l are added one at a time, starting from 0,
+    in row-major (k, l) order: the order in which numpy's
+    einsum("qdk,kl,qdl->qd") sums a block of three or more pairs (numpy 2.4).
+    Written out, a pair's bits do not depend on which other pairs share the
+    call; einsum takes another order for one or two pairs.
+    """
+    d2 = np.zeros(diff.shape[0])
+    for k in range(diff.shape[1]):
+        terms = diff[:, k, None] * inv[k]
+        terms *= diff
+        terms[:, 0] += d2
+        d2 = np.add.accumulate(terms, axis=1)[:, -1]
     return np.maximum(d2, 0.0)
+
+
+# Query rows per filter block keep a block at or under this many
+# (query, donor) entries: 2 MiB per float64 array.
+_BLOCK_ENTRIES = 1 << 18
+# Floating-point error allowed per score dimension, about 4500 unit roundoffs.
+_ROUNDING = 1e-12
 
 
 def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
                  direction: str) -> MatchedSet:
-    """Exact m-nearest-neighbor search with replacement (brute force).
+    """Exact m-nearest-neighbor search with replacement.
 
     direction "for-treated" finds donors in the control group for every
     treated subject; "for-control" is the reverse.
 
+    Donors are ranked by the squared distance that _squared_distances
+    defines, ties going to the smaller donor index. A whitened matrix
+    product bounds every distance; only the pairs that bound cannot rule out
+    are evaluated in that canonical form. Time is O(q d k) for q queries,
+    d donors and k score columns. Working memory is
+    O((max(2^18, d) + q + d) k) floats, whatever q and d are.
+
     Raises:
+        InvalidArgument: unknown direction, n_matches < 1, no subjects to
+            match, or NaN/inf in the scores or the metric.
         InsufficientDonors: donor group smaller than n_matches.
     """
     z = np.atleast_2d(np.asarray(scores, dtype=float))
+    inv = np.asarray(metric.inverse_covariance, dtype=float)
     t = np.asarray(treatment)
     if direction == FOR_TREATED:
         query_label = 1
@@ -138,6 +166,10 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         raise InvalidArgument(f"unknown direction {direction!r}")
     if n_matches < 1:
         raise InvalidArgument(f"n_matches must be >= 1, got {n_matches}")
+    if not np.isfinite(z).all():
+        raise InvalidArgument("scores contain NaN or inf")
+    if not np.isfinite(inv).all():
+        raise InvalidArgument("metric contains NaN or inf")
 
     queries = np.flatnonzero(t == query_label)
     donors = np.flatnonzero(t == 1 - query_label)
@@ -148,17 +180,68 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
             f"{donors.size} donors available, {n_matches} matches requested"
         )
 
-    d2 = _squared_distances(z[queries], z[donors], metric.inverse_covariance)
+    # Filter bound. Let A be the symmetric part of inv (same quadratic form),
+    # c the donor mean, e = z - c, diff = z_a - z_b, S = |e_a|^2 + |e_b|^2
+    # (so |diff|^2 <= 2S), L = max|eig A|, N = max(0, -min eig A), u = 2^-53.
+    # With R = V diag(sqrt(max(eig A, 0))) and w = e R, the expansion
+    # approx = |w_a|^2 + |w_b|^2 - 2 w_a.w_b differs from the canonical value
+    # D by at most the sum of
+    #   - the rounding of D, a sum of k^2 products:
+    #     (k^2+2) u |diff|'|A||diff| <= (k^2+2) u sqrt(k) L 2S;
+    #   - the gap |diff'(RR' - A)diff|: eigh's O(k u L) backward error plus
+    #     the clamped eigenvalues (at most N), times |diff|^2 <= 2S;
+    #   - the rounding of e and of e R: O(k^1.5 u L S);
+    #   - the rounding of the expansion: O(k u (|w_a|^2 + |w_b|^2)).
+    # tol = tol_a + tol_b with tol_x = C (k+1) (|w_x|^2 + L |e_x|^2) + 2 N |e_x|^2
+    # and C = 1e-12 covers all four and the rounding of the filter's own sums.
+    # The worst-case terms stay under it up to k of about 150; typical errors
+    # are far smaller. The expansion of a squared norm rounds below 0 by less
+    # than tol, so approx +- tol also bound max(D, 0). Per row let T be the
+    # m-th smallest approx + tol. At least m donors have max(D, 0) <= T, so
+    # each donor of the canonical first m, ties included, has approx - tol <= T
+    # and is kept: the re-rank sees the exact order. |w_a|^2 is common to a
+    # row, so the filter drops it from both sides of that test.
+    zq, zd = z[queries], z[donors]
+    centre = zd.mean(axis=0)
+    eq, ed = zq - centre, zd - centre
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (inv + inv.T))
+    root = vectors * np.sqrt(np.maximum(eigenvalues, 0.0))
+    wq, wd = eq @ root, ed @ root
+    nd = np.einsum("ij,ij->i", wd, wd)
+    per_w = _ROUNDING * (z.shape[1] + 1)
+    per_e = (per_w * np.abs(eigenvalues).max(initial=0.0)
+             + 2.0 * max(0.0, -eigenvalues.min(initial=0.0)))
+    tol_q = per_w * np.einsum("ij,ij->i", wq, wq) + per_e * np.einsum("ij,ij->i", eq, eq)
+    tol_d = per_w * nd + per_e * np.einsum("ij,ij->i", ed, ed)
+    upper_d, lower_d = nd + tol_d, nd - tol_d
+    # np.dot, unlike matmul, goes to BLAS for k = 1 as well
+    wq, wd = -2.0 * wq, np.ascontiguousarray(wd.T)
+
     picked = np.empty((queries.size, n_matches), dtype=np.int64)
-    dists = np.empty((queries.size, n_matches))
-    for row in range(queries.size):
-        order = np.lexsort((donors, d2[row]))[:n_matches]
-        picked[row] = donors[order]
-        dists[row] = np.sqrt(d2[row, order])
+    d2_picked = np.empty((queries.size, n_matches))
+    step = max(1, _BLOCK_ENTRIES // donors.size)
+    for lo in range(0, queries.size, step):
+        hi = min(lo + step, queries.size)
+        cross = np.dot(wq[lo:hi], wd)                  # -2 w_a.w_b
+        upper = cross + upper_d
+        cut = (upper.min(axis=1) if n_matches == 1   # a row-wise partition is slower
+               else np.partition(upper, n_matches - 1, axis=1)[:, n_matches - 1])
+        cut += 2.0 * tol_q[lo:hi]
+        cross += lower_d
+        # "not above" rather than "at most": a NaN from overflow keeps the pair
+        row, col = divmod(np.flatnonzero(~(cross > cut[:, None])), donors.size)
+
+        d2 = _squared_distances(zq[lo + row] - zd[col], inv)
+        # row is ascending, so each row's run starts where it did before sorting
+        order = np.lexsort((col, d2, row))
+        counts = np.bincount(row, minlength=hi - lo)
+        first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n_matches)]
+        picked[lo:hi] = donors[col[first]]
+        d2_picked[lo:hi] = d2[first]
     return MatchedSet(
         query_indices=queries,
         donor_indices=picked,
-        distances=dists,
+        distances=np.sqrt(d2_picked),
         direction=direction,
     )
 

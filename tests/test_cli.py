@@ -182,6 +182,13 @@ class TestSimulate:
         capsys.readouterr()
         assert files[0] == files[1]
 
+    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
+        from sdrmatch import cli
+
+        monkeypatch.delenv("SDRMATCH_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli._resolve_threads(None) == 3
+
     def test_text_format(self, capsys):
         code = main([
             "simulate", "--scenario", "case1-II", "--n", "200", "--reps", "6",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,23 @@ def brute_force_matches(scores, treatment, inv_cov, n_matches, direction):
         scored.sort()
         out.append([d for _, d in scored[:n_matches]])
     return queries, out
+
+
+def brute_force_distances(scores, queries, donors, inv_cov):
+    """sqrt of the definition-form squared distance, clamped at 0, per (query, donor)."""
+    scores = np.atleast_2d(np.asarray(scores, float))
+    out = []
+    for q, row in zip(queries, donors):
+        dists = []
+        for d in row:
+            diff = scores[q] - scores[d]
+            d2 = 0.0
+            for a in range(len(diff)):
+                for b in range(len(diff)):
+                    d2 += diff[a] * inv_cov[a, b] * diff[b]
+            dists.append(float(np.sqrt(max(d2, 0.0))))
+        out.append(dists)
+    return out
 
 
 class TestBuildMetric:
@@ -140,6 +159,127 @@ class TestFindMatches:
                 )
                 assert mine.query_indices.tolist() == queries
                 assert mine.donor_indices.tolist() == expected
+
+
+class TestExactness:
+    """Matcher vs the loop reference on ties, scale and degenerate shapes."""
+
+    @staticmethod
+    def draw_scores(rng, kind, n, k):
+        if kind == "integer":
+            return np.floor(rng.uniform((n, k)) * 3.0)
+        z = rng.normal((n, k))
+        if kind == "constant-column":
+            z[:, 0] = 3.0
+        elif kind == "offset":
+            z[:, -1] += 1e6
+        elif kind == "mixed-scale":
+            # LaLonde-like: binary indicators next to earnings around 1e4
+            binary = (rng.uniform((n, k)) < 0.4).astype(float)
+            earnings = np.round(np.exp(z + 9.0), 2)
+            z = np.where(np.arange(k) % 2 == 0, binary, earnings)
+        return z
+
+    def check(self, z, t, m, direction, metric=None):
+        metric = metric or build_metric(z)
+        mine = find_matches(z, t, metric, m, direction)
+        queries, expected = brute_force_matches(
+            z, t, metric.inverse_covariance, m, direction
+        )
+        assert mine.query_indices.tolist() == queries
+        assert mine.donor_indices.tolist() == expected
+        distances = brute_force_distances(z, queries, expected, metric.inverse_covariance)
+        assert mine.distances.tolist() == distances
+
+    def test_ties_and_scales(self):
+        rng = RngStream(61)
+        kinds = ("integer", "constant-column", "offset", "mixed-scale")
+        checked = 0
+        for rep in range(80):
+            kind = kinds[rep % len(kinds)]
+            k = 1 + (rep // len(kinds)) % 10
+            m = 1 + rep % 5
+            n = 2 * m + 8 + int(rng.uniform() * 50)
+            z = self.draw_scores(rng, kind, n, k)
+            t = (rng.uniform(n) < 0.5).astype(int)
+            if t.sum() < m or (1 - t).sum() < m:
+                continue
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                self.check(z, t, m, direction)
+            checked += 1
+        assert checked >= 70
+
+    def test_donors_equal_matches(self):
+        rng = RngStream(62)
+        for m in range(1, 6):
+            z = np.floor(rng.uniform((m + 12, 3)) * 3.0)
+            t = np.ones(m + 12, dtype=int)
+            t[-m:] = 0
+            self.check(z, t, m, FOR_TREATED)
+
+    def test_single_query(self):
+        rng = RngStream(63)
+        for k in (1, 4, 10):
+            z = self.draw_scores(rng, "mixed-scale", 40, k)
+            t = np.zeros(40, dtype=int)
+            t[17] = 1
+            for m in (1, 5):
+                self.check(z, t, m, FOR_TREATED)
+
+    def test_far_query_with_mirror_tied_donors(self):
+        # for a query on the diagonal, donors (a, b) and (b, a) are tied under
+        # this metric; far from them, rounding decides the canonical order
+        metric = MahalanobisMetric(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        rng = RngStream(65)
+        for rep in range(200):
+            far = 10.0 ** (2.0 + 6.0 * rng.uniform())
+            a, b = np.round(rng.normal(2), 3)
+            z = np.array([[far, far], [a, b], [b, a], [5.0, -7.0]])
+            self.check(z, np.array([1, 0, 0, 0]), 1, FOR_TREATED, metric)
+
+    def test_indefinite_metric(self):
+        # negative squared distances clamp to 0 and tie; none may be filtered out
+        rng = RngStream(66)
+        for rep in range(30):
+            a = rng.normal((3, 3))
+            metric = MahalanobisMetric(a + a.T)
+            z = rng.normal((40, 3))
+            t = (rng.uniform(40) < 0.5).astype(int)
+            queries = np.flatnonzero(t == 1).tolist()
+            donors = np.flatnonzero(t == 0).tolist()
+            dists = brute_force_distances(z, queries, [donors] * len(queries),
+                                          metric.inverse_covariance)
+            expected = [[d for _, d in sorted(zip(row, donors))[:2]] for row in dists]
+            mine = find_matches(z, t, metric, 2, FOR_TREATED)
+            assert mine.donor_indices.tolist() == expected
+
+    def test_memory_stays_bounded_at_large_n(self):
+        # the full (n/2)^2 * p difference tensor would need about 8 GB here
+        rng = RngStream(64)
+        n, p = 20_000, 10
+        z = rng.normal((n, p))
+        t = (rng.uniform(n) < 0.5).astype(int)
+        metric = build_metric(z)
+        tracemalloc.start()
+        try:
+            matched = find_matches(z, t, metric, 1, FOR_TREATED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert matched.donor_indices.shape == (int(t.sum()), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        z = np.array([[0.0], [1.0], [0.4], [2.0]])
+        t = np.array([1, 0, 0, 0])
+        for row in (0, 2):              # a query, then a donor
+            broken = z.copy()
+            broken[row, 0] = bad
+            with pytest.raises(InvalidArgument):
+                find_matches(broken, t, MahalanobisMetric(np.eye(1)), 1, FOR_TREATED)
+        with pytest.raises(InvalidArgument):
+            find_matches(z, t, MahalanobisMetric(np.array([[bad]])), 1, FOR_TREATED)
 
 
 class TestImpute:
