@@ -28,6 +28,9 @@ LALONDE = ["--input", "data/lalonde_cps3_synthetic.csv", "--treatment", "treat",
            "age,educ,black,hisp,married,nodegr,re74,re75,u74,u75"]
 SIMULATE = ["simulate", "--scenario", "case1-III", "--n", "500", "--reps", "20",
             "--seed", "11"]
+# small runs that reach the other generators, truth paths and score builders
+SMALL = ["--n", "200", "--reps", "5", "--seed", "11"]
+ALL_METHODS = ["--methods", "ambient,ps-logistic,ps-true,sdr,sdr-oracle,active-set-oracle"]
 
 CASES = {
     "estimate-sdr-acet-m1": ["estimate", *LALONDE, "--method", "sdr",
@@ -38,9 +41,23 @@ CASES = {
                                 "--estimand", "ace", "--m", "1"],
     "estimate-ps-logistic-ace-m1": ["estimate", *LALONDE, "--method", "ps-logistic",
                                     "--estimand", "ace", "--m", "1"],
+    "estimate-ambient-acet-m1": ["estimate", *LALONDE, "--method", "ambient",
+                                 "--estimand", "acet", "--m", "1"],
+    "estimate-ps-logistic-acet-m1": ["estimate", *LALONDE, "--method", "ps-logistic",
+                                     "--estimand", "acet", "--m", "1"],
     "diagnose-bins20": ["diagnose", *LALONDE, "--bins", "20"],
     "simulate-case1-III-ace": [*SIMULATE, "--estimand", "ace"],
     "simulate-case1-III-acet": [*SIMULATE, "--estimand", "acet"],
+    # case1-IV has no analytic truth, so both branches of the case-1 sampler run
+    "simulate-case1-IV-ace": ["simulate", "--scenario", "case1-IV", *SMALL,
+                              "--estimand", "ace"],
+    "simulate-case1-IV-acet": ["simulate", "--scenario", "case1-IV", *SMALL,
+                               "--estimand", "acet"],
+    "simulate-case2-Istar-acet": ["simulate", "--scenario", "case2-I*", *SMALL,
+                                  *ALL_METHODS, "--estimand", "acet"],
+    "simulate-case3-A-acet": ["simulate", "--scenario", "case3-A", *SMALL, *ALL_METHODS,
+                              "--coef-config", "configs/case3_coefficients.json",
+                              "--estimand", "acet"],
 }
 
 
