@@ -11,12 +11,11 @@ from sdrmatch import (
     BalancingScore,
     ObservationalSample,
     RngStream,
+    balancing_score,
     build_metric,
-    estimate_ace,
-    estimate_acet,
+    estimate,
     find_matches,
     impute,
-    sdr_matching_pipeline,
 )
 from sdrmatch.matching import FOR_TREATED
 from sdrmatch.simulation import generate, scenario
@@ -34,16 +33,20 @@ print(f"matched controls for the treated subject: {matched.donor_indices[0].toli
 print(f"imputed no-treatment outcome: {impute(sample, matched)[0]:.1f}  "
       f"(mean of outcomes 2.0 and 1.0)")
 
-est = estimate_acet(sample, BalancingScore.ambient(scores), n_matches=2)
+est = estimate(sample, BalancingScore.ambient(scores), "acet", n_matches=2)
 print(f"effect on the treated: {est.value:.2f}")
 
 print("\n== simulated scenario with constant effect 1 ==")
 spec = scenario("case1-II", n=500)
 data = generate(spec, RngStream(7, 0))
 
-ambient = estimate_ace(data.sample, BalancingScore.ambient(data.sample.covariates))
-ps_true = estimate_ace(data.sample, BalancingScore.propensity(data.true_ps))
-reduced = sdr_matching_pipeline(data.sample, estimand="ace")
+# the registry builds each method's score; the true propensity reads the
+# data-generating truth, so it needs the generated data as well
+ambient, ps_true, reduced = (
+    estimate(data.sample, balancing_score(method, data.sample, estimand="ace",
+                                          n_slices=5, alpha=0.05, truth=data))
+    for method in ("ambient", "ps-true", "sdr")
+)
 
 print(f"{'balancing score':<24}{'estimate':>10}")
 for name, e in (("ambient covariates", ambient), ("true propensity", ps_true),

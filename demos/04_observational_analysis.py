@@ -13,14 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from sdrmatch import (
-    BalancingScore,
-    estimate_acet,
+    balancing_score,
+    estimate,
     estimate_central_subspace,
-    fit_logistic,
     load_csv,
-    predict_ps,
     reduce_covariates,
-    sdr_matching_pipeline,
 )
 
 repo = Path(__file__).resolve().parents[1]
@@ -32,11 +29,10 @@ print(f"n={sample.n_subjects}, treated={int(sample.treatment.sum())}, "
       f"control={int((1 - sample.treatment).sum())}")
 
 print("\n== effect on the treated, three balancing scores ==")
-reduced = sdr_matching_pipeline(sample, estimand="acet")
-ambient = estimate_acet(sample, BalancingScore.ambient(sample.covariates))
-model = fit_logistic(sample.covariates, sample.treatment)
-ps = estimate_acet(
-    sample, BalancingScore.propensity(predict_ps(model, sample.covariates))
+reduced, ambient, ps = (
+    estimate(sample, balancing_score(method, sample, estimand="acet",
+                                     n_slices=5, alpha=0.05), "acet")
+    for method in ("sdr", "ambient", "ps-logistic")
 )
 print(f"{'reduced covariates':<24}{reduced.value:>10.1f}   "
       f"(rank {reduced.diagnostics['rank_control']} in the control group)")

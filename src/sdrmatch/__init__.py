@@ -24,22 +24,18 @@ from .matching import (
     CausalEstimate,
     MahalanobisMetric,
     MatchedSet,
-    ace_from_imputations,
+    balancing_score,
     build_metric,
-    estimate_ace,
-    estimate_acet,
+    estimate,
     find_matches,
     impute,
-    sdr_matching_pipeline,
 )
 from .numerics import (
     EigenDecomposition,
     RngStream,
-    chi_square_cdf,
     chi_square_sf,
     inverse_sqrt_spd,
     sample_bernoulli,
-    sample_mvn,
     sym_eigen,
 )
 from .propensity import (
@@ -82,20 +78,16 @@ __all__ = [
     "CausalEstimate",
     "MahalanobisMetric",
     "MatchedSet",
-    "ace_from_imputations",
+    "balancing_score",
     "build_metric",
-    "estimate_ace",
-    "estimate_acet",
+    "estimate",
     "find_matches",
     "impute",
-    "sdr_matching_pipeline",
     "EigenDecomposition",
     "RngStream",
-    "chi_square_cdf",
     "chi_square_sf",
     "inverse_sqrt_spd",
     "sample_bernoulli",
-    "sample_mvn",
     "sym_eigen",
     "GaussianMixtureDesign",
     "LogisticModel",

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, matching, sdr, simulation
+from . import __version__, matching, simulation
 from .dataset import load_csv
 from .errors import (
     ConfigError,
@@ -23,7 +23,6 @@ from .errors import (
     SchemaError,
     SdrMatchError,
 )
-from .propensity import fit_logistic, predict_ps
 
 USAGE_EXIT = 2
 ESTIMATION_EXIT = 3
@@ -108,42 +107,35 @@ def _load_sample(args):
     return load_csv(args.input, args.treatment, args.outcome, covariates)
 
 
+def _balancing_score(method: str, sample, args, estimand: str):
+    score = matching.balancing_score(method, sample, estimand=estimand,
+                                     n_slices=args.slices, alpha=args.alpha)
+    if score.diagnostics.get("logistic_converged") is False:
+        print("warning: logistic propensity fit did not converge", file=sys.stderr)
+    return score
+
+
 def cmd_estimate(args) -> int:
     sample = _load_sample(args)
-    ranks = {"rank_control": None, "rank_treated": None}
-    if args.method == "sdr":
-        result = matching.sdr_matching_pipeline(
-            sample, n_slices=args.slices, alpha=args.alpha,
-            n_matches=args.m, estimand=args.estimand,
-        )
-        ranks["rank_control"] = result.diagnostics.get("rank_control")
-        ranks["rank_treated"] = result.diagnostics.get("rank_treated")
-    else:
-        if args.method == "ambient":
-            score = matching.BalancingScore.ambient(sample.covariates)
-        else:
-            model = fit_logistic(sample.covariates, sample.treatment)
-            if not model.converged:
-                print("warning: logistic propensity fit did not converge", file=sys.stderr)
-            score = matching.BalancingScore.propensity(
-                predict_ps(model, sample.covariates)
-            )
-        if args.estimand == "acet":
-            result = matching.estimate_acet(sample, score, args.m)
-        else:
-            result = matching.estimate_ace(sample, score, args.m)
+    score = _balancing_score(args.method, sample, args, args.estimand)
+    result = matching.estimate(sample, score, args.estimand, args.m)
+    diagnostics = result.diagnostics
+    rank_control, rank_treated = (
+        "-" if diagnostics.get(key) is None else diagnostics[key]
+        for key in ("rank_control", "rank_treated")
+    )
 
     lines = [
         f"estimand {args.estimand}",
         f"method {args.method}",
         f"value {_fmt(result.value)}",
-        f"rank_control {ranks['rank_control'] if ranks['rank_control'] is not None else '-'}",
-        f"rank_treated {ranks['rank_treated'] if ranks['rank_treated'] is not None else '-'}",
+        f"rank_control {rank_control}",
+        f"rank_treated {rank_treated}",
         f"n {sample.n_subjects}",
-        f"treated {result.diagnostics['n_treated']}",
-        f"control {result.diagnostics['n_control']}",
+        f"treated {diagnostics['n_treated']}",
+        f"control {diagnostics['n_control']}",
     ]
-    for direction, qs in sorted(result.diagnostics["match_distance_quantiles"].items()):
+    for direction, qs in sorted(diagnostics["match_distance_quantiles"].items()):
         pretty = " ".join(_fmt(q) for q in qs)
         lines.append(f"match_distance_quantiles {direction} {pretty}")
     print("\n".join(lines))
@@ -295,12 +287,9 @@ def cmd_diagnose(args) -> int:
     if args.bins < 1:
         raise InvalidArgument(f"--bins must be >= 1, got {args.bins}")
     sample = _load_sample(args)
-    estimate = sdr.estimate_central_subspace(
-        sample, 0, n_slices=args.slices, alpha=args.alpha
-    )
-    reduced = sdr.reduce_covariates(estimate, sample.covariates)
-    model = fit_logistic(sample.covariates, sample.treatment)
-    scores = predict_ps(model, sample.covariates)
+    # the control group's reduction, as matching treated subjects uses it
+    reduced = _balancing_score("sdr", sample, args, "acet").into_control
+    scores = _balancing_score("ps-logistic", sample, args, "acet").into_control[:, 0]
 
     rows = [_header_line("diagnose", args), "variable,group,kind,index,lower,upper,value"]
     for j in range(reduced.shape[1]):

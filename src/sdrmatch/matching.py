@@ -16,19 +16,18 @@ import numpy as np
 from . import numerics, sdr
 from .dataset import ObservationalSample
 from .errors import InsufficientDonors, InvalidArgument
+from .propensity import fit_logistic, predict_ps
 
 __all__ = [
     "BalancingScore",
     "MahalanobisMetric",
     "MatchedSet",
     "CausalEstimate",
+    "balancing_score",
     "build_metric",
     "find_matches",
     "impute",
-    "ace_from_imputations",
-    "estimate_ace",
-    "estimate_acet",
-    "sdr_matching_pipeline",
+    "estimate",
 ]
 
 FOR_TREATED = "for-treated"
@@ -42,28 +41,75 @@ class BalancingScore:
     into_control feeds searches for donors in the control group (imputing
     Y(0) for treated subjects); into_treated feeds the reverse direction. For
     ambient and propensity scores the two are the same matrix; per-group
-    reduced covariates differ by construction.
+    reduced covariates differ by construction. diagnostics records how the
+    score was fitted (SIR ranks and fallbacks, logistic convergence) and is
+    carried into the estimate's diagnostics.
     """
 
-    kind: str
     into_control: np.ndarray
     into_treated: Optional[np.ndarray] = None
+    diagnostics: dict = field(default_factory=dict)
 
     @classmethod
     def ambient(cls, covariates) -> "BalancingScore":
         x = np.atleast_2d(np.asarray(covariates, dtype=float))
-        return cls(kind="ambient", into_control=x, into_treated=x)
+        return cls(into_control=x, into_treated=x)
 
     @classmethod
-    def propensity(cls, scores) -> "BalancingScore":
+    def propensity(cls, scores, diagnostics=None) -> "BalancingScore":
         s = np.asarray(scores, dtype=float).reshape(-1, 1)
-        return cls(kind="propensity", into_control=s, into_treated=s)
+        return cls(into_control=s, into_treated=s, diagnostics=diagnostics or {})
 
     @classmethod
-    def reduced(cls, into_control, into_treated=None) -> "BalancingScore":
+    def reduced(cls, into_control, into_treated=None, diagnostics=None) -> "BalancingScore":
         z0 = np.atleast_2d(np.asarray(into_control, dtype=float))
         z1 = None if into_treated is None else np.atleast_2d(np.asarray(into_treated, dtype=float))
-        return cls(kind="reduced-per-group", into_control=z0, into_treated=z1)
+        return cls(into_control=z0, into_treated=z1, diagnostics=diagnostics or {})
+
+
+def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
+                    n_slices: int, alpha: float, truth=None) -> BalancingScore:
+    """The balancing score a method id matches on.
+
+    Methods: "ambient" (raw covariates), "ps-logistic" (fitted logistic
+    propensity), "sdr" (per-group SIR reduction; the treated group's
+    reduction is fitted only for estimand "ace", the only estimand that
+    matches into the treated group), and three that read the data-generating
+    truth, a simulation's GeneratedData: "ps-true" (true propensity),
+    "sdr-oracle" (true per-group bases) and "active-set-oracle" (the
+    covariates the outcome depends on).
+
+    Raises:
+        InvalidArgument: unknown method, or a truth-based method without truth.
+    """
+    x = sample.covariates
+    if truth is None and method in ("ps-true", "sdr-oracle", "active-set-oracle"):
+        raise InvalidArgument(f"method {method!r} needs the data-generating truth")
+    if method == "ambient":
+        return BalancingScore.ambient(x)
+    if method == "ps-logistic":
+        model = fit_logistic(x, sample.treatment)
+        return BalancingScore.propensity(predict_ps(model, x),
+                                         {"logistic_converged": model.converged})
+    if method == "ps-true":
+        return BalancingScore.propensity(truth.true_ps)
+    if method == "sdr":
+        est0 = sdr.estimate_central_subspace(sample, 0, n_slices, alpha)
+        diagnostics = {"rank_control": est0.selected_rank, "rank_treated": None,
+                       "rank_fallback_control": est0.rank_fallback}
+        z1 = None
+        if estimand == "ace":
+            est1 = sdr.estimate_central_subspace(sample, 1, n_slices, alpha)
+            z1 = sdr.reduce_covariates(est1, x)
+            diagnostics.update(rank_treated=est1.selected_rank,
+                               rank_fallback_treated=est1.rank_fallback)
+        return BalancingScore.reduced(sdr.reduce_covariates(est0, x), z1, diagnostics)
+    if method == "sdr-oracle":
+        return BalancingScore.reduced(x @ truth.oracle_basis_control,
+                                      x @ truth.oracle_basis_treated)
+    if method == "active-set-oracle":
+        return BalancingScore.ambient(x[:, list(truth.active_columns)])
+    raise InvalidArgument(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -251,19 +297,7 @@ def impute(sample: ObservationalSample, matched: MatchedSet) -> np.ndarray:
     return sample.outcome[matched.donor_indices].mean(axis=1)
 
 
-def ace_from_imputations(treatment, outcome, imputed) -> float:
-    """Average effect from completed data.
-
-    Treated subjects contribute Y(1) - imputed Y(0); controls contribute
-    imputed Y(1) - Y(0); the value is the mean over all n subjects.
-    """
-    t = np.asarray(treatment)
-    y = np.asarray(outcome, dtype=float)
-    z = np.asarray(imputed, dtype=float)
-    return float(((2 * t - 1) * (y - z)).mean())
-
-
-def _match_diagnostics(*matched_sets: MatchedSet, n_subjects: int) -> dict:
+def _match_diagnostics(matched_sets, n_subjects: int) -> dict:
     quantiles = {}
     counts = np.zeros(n_subjects, dtype=np.int64)
     for mset in matched_sets:
@@ -273,91 +307,48 @@ def _match_diagnostics(*matched_sets: MatchedSet, n_subjects: int) -> dict:
     return {"match_distance_quantiles": quantiles, "reuse_counts": counts}
 
 
-def estimate_ace(sample: ObservationalSample, score: BalancingScore,
-                 n_matches: int = 1) -> CausalEstimate:
-    """Average causal effect with both-direction matching.
+def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str = "ace",
+             n_matches: int = 1) -> CausalEstimate:
+    """Matching estimate of the average causal effect ("ace") or of the
+    average effect on the treated ("acet").
 
     Imputes Y(0) for every treated subject from its control-group matches on
-    the into_control score, Y(1) for every control from its treated-group
-    matches on the into_treated score, and averages the completed contrasts.
-    """
-    if score.into_treated is None:
-        raise InvalidArgument("ACE needs an into_treated score")
-    t = sample.treatment
-    metric_c = build_metric(score.into_control)
-    metric_t = (
-        metric_c
-        if score.into_treated is score.into_control
-        else build_metric(score.into_treated)
-    )
-    matched_t = find_matches(score.into_control, t, metric_c, n_matches, FOR_TREATED)
-    matched_c = find_matches(score.into_treated, t, metric_t, n_matches, FOR_CONTROL)
+    the into_control score. For the ACE it also imputes Y(1) for every control
+    from its treated-group matches on the into_treated score and averages the
+    completed contrasts over all n subjects; the ACET averages them over the
+    treated only, and controls' imputations stay NaN. The score's own
+    diagnostics are merged into the estimate's.
 
-    imputed = np.empty(sample.n_subjects)
-    imputed[matched_t.query_indices] = impute(sample, matched_t)
-    imputed[matched_c.query_indices] = impute(sample, matched_c)
-    value = ace_from_imputations(t, sample.outcome, imputed)
-
-    diagnostics = _match_diagnostics(matched_t, matched_c, n_subjects=sample.n_subjects)
-    diagnostics.update(
-        n_treated=int(matched_t.query_indices.size),
-        n_control=int(matched_c.query_indices.size),
-    )
-    return CausalEstimate("ace", value, imputed, diagnostics)
-
-
-def estimate_acet(sample: ObservationalSample, score: BalancingScore,
-                  n_matches: int = 1) -> CausalEstimate:
-    """Average causal effect on the treated; only control-side matching runs."""
-    t = sample.treatment
-    metric_c = build_metric(score.into_control)
-    matched_t = find_matches(score.into_control, t, metric_c, n_matches, FOR_TREATED)
-
-    imputed = np.full(sample.n_subjects, np.nan)
-    imputed[matched_t.query_indices] = impute(sample, matched_t)
-    treated = matched_t.query_indices
-    value = float((sample.outcome[treated] - imputed[treated]).mean())
-
-    diagnostics = _match_diagnostics(matched_t, n_subjects=sample.n_subjects)
-    diagnostics.update(
-        n_treated=int(treated.size),
-        n_control=int(sample.n_subjects - treated.size),
-    )
-    return CausalEstimate("acet", value, imputed, diagnostics)
-
-
-def sdr_matching_pipeline(sample: ObservationalSample, n_slices: int = 5,
-                          alpha: float = 0.05, n_matches: int = 1,
-                          estimand: str = "ace") -> CausalEstimate:
-    """Full reduced-covariate matching pipeline.
-
-    Estimates the control group's subspace, matches treated subjects into the
-    control group on those reduced covariates, and (for the ACE) repeats with
-    the treated group's subspace in the opposite direction. Diagnostics carry
-    the selected ranks and rank-fallback flags.
+    Raises:
+        InvalidArgument: unknown estimand, or an ACE without an into_treated
+            score.
     """
     if estimand not in ("ace", "acet"):
         raise InvalidArgument(f"unknown estimand {estimand!r}")
-    est0 = sdr.estimate_central_subspace(sample, 0, n_slices, alpha)
-    z0 = sdr.reduce_covariates(est0, sample.covariates)
-    if estimand == "acet":
-        score = BalancingScore.reduced(z0)
-        result = estimate_acet(sample, score, n_matches)
-        extra = {
-            "rank_control": est0.selected_rank,
-            "rank_treated": None,
-            "rank_fallback_control": est0.rank_fallback,
-        }
+    if estimand == "ace" and score.into_treated is None:
+        raise InvalidArgument("ACE needs an into_treated score")
+    t, y = sample.treatment, sample.outcome
+    metric = build_metric(score.into_control)
+    matched = [find_matches(score.into_control, t, metric, n_matches, FOR_TREATED)]
+    if estimand == "ace":
+        if score.into_treated is not score.into_control:
+            metric = build_metric(score.into_treated)
+        matched.append(find_matches(score.into_treated, t, metric, n_matches, FOR_CONTROL))
+
+    imputed = np.full(sample.n_subjects, np.nan)
+    for mset in matched:
+        imputed[mset.query_indices] = impute(sample, mset)
+    treated = matched[0].query_indices
+    if estimand == "ace":
+        # treated contribute Y(1) - imputed Y(0), controls imputed Y(1) - Y(0)
+        value = float(((2 * t - 1) * (y - imputed)).mean())
     else:
-        est1 = sdr.estimate_central_subspace(sample, 1, n_slices, alpha)
-        z1 = sdr.reduce_covariates(est1, sample.covariates)
-        score = BalancingScore.reduced(z0, z1)
-        result = estimate_ace(sample, score, n_matches)
-        extra = {
-            "rank_control": est0.selected_rank,
-            "rank_treated": est1.selected_rank,
-            "rank_fallback_control": est0.rank_fallback,
-            "rank_fallback_treated": est1.rank_fallback,
-        }
-    result.diagnostics.update(extra)
-    return result
+        value = float((y[treated] - imputed[treated]).mean())
+
+    diagnostics = _match_diagnostics(matched, sample.n_subjects)
+    diagnostics.update(
+        n_treated=int(treated.size),
+        n_control=int(sample.n_subjects - treated.size),
+        **score.diagnostics,
+    )
+    return CausalEstimate(estimand, value, imputed, diagnostics)

@@ -21,8 +21,6 @@ __all__ = [
     "inverse_sqrt_spd",
     "psd_sqrt",
     "chi_square_sf",
-    "chi_square_cdf",
-    "sample_mvn",
     "sample_bernoulli",
 ]
 
@@ -130,15 +128,6 @@ def chi_square_sf(x: float, df: int) -> float:
     return float(special.gammaincc(df / 2.0, float(x) / 2.0))
 
 
-def chi_square_cdf(x: float, df: int) -> float:
-    """P(chi-square_df <= x), the complement of :func:`chi_square_sf`."""
-    if not float(x) >= 0.0:
-        raise InvalidArgument(f"x must be >= 0, got {x}")
-    if int(df) != df or df < 1:
-        raise InvalidArgument(f"df must be a positive integer, got {df}")
-    return float(special.gammainc(df / 2.0, float(x) / 2.0))
-
-
 class RngStream:
     """Counter-based random stream keyed by (seed, stream id).
 
@@ -169,23 +158,6 @@ class RngStream:
     def normal(self, size=None) -> np.ndarray:
         """Standard normals via the inverse CDF, one uniform per draw."""
         return special.ndtri(self.uniform(size))
-
-
-def sample_mvn(rng: RngStream, mean, cov, n: int) -> np.ndarray:
-    """Draw n rows from N(mean, cov) as mean + z @ sqrt(cov).
-
-    The covariance square root comes from the eigen factorization, so a
-    singular (but PSD) covariance degenerates cleanly: cov = 0 returns the
-    mean exactly in every row.
-    """
-    mu = np.atleast_1d(np.asarray(mean, dtype=float))
-    root = psd_sqrt(cov)
-    if root.shape[0] != mu.shape[0]:
-        raise InvalidArgument(
-            f"mean has length {mu.shape[0]} but cov is {root.shape[0]}x{root.shape[0]}"
-        )
-    z = rng.normal((int(n), mu.shape[0]))
-    return mu + z @ root
 
 
 def sample_bernoulli(rng: RngStream, prob: float, n: int) -> np.ndarray:

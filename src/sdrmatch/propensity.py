@@ -68,7 +68,9 @@ def fit_logistic(covariates, treatment, max_iter: int = 100, tol: float = 1e-8) 
     Convergence means the max-abs score (log-likelihood gradient) fell below
     tol. Under separation the gradient also vanishes while the coefficients
     diverge, so the fit additionally stops with converged=False once every
-    fitted probability sits within 10*tol of its label.
+    fitted probability sits within 10*tol of its label. When 30 halvings of a
+    Newton step all lower the log-likelihood, the fit keeps the current
+    coefficients and stops with converged=False.
 
     Raises:
         DegenerateLabels: treatment contains a single class.
@@ -112,6 +114,8 @@ def fit_logistic(covariates, treatment, max_iter: int = 100, tol: float = 1e-8) 
             if cand_ll >= loglik - 1e-12:
                 break
             scale *= 0.5
+        else:
+            break  # no step recovers the log-likelihood: keep the current iterate
         beta, eta, loglik = candidate, cand_eta, cand_ll
 
     return LogisticModel(

@@ -27,7 +27,7 @@ from . import matching
 from .dataset import ObservationalSample
 from .errors import ConfigError, InvalidArgument, SdrMatchError
 from .numerics import RngStream, psd_sqrt, sample_bernoulli
-from .propensity import GaussianMixtureDesign, fit_logistic, predict_ps, true_ps_bayes
+from .propensity import GaussianMixtureDesign, true_ps_bayes
 
 __all__ = [
     "ScenarioSpec",
@@ -40,9 +40,6 @@ __all__ = [
     "scenario",
     "load_case3_config",
     "generate",
-    "generate_case1",
-    "generate_case2",
-    "generate_case3",
     "effect_function",
     "monte_carlo_truth",
     "true_effect",
@@ -338,45 +335,15 @@ def _gaussian_design(spec: ScenarioSpec) -> GaussianMixtureDesign:
     )
 
 
-def generate_case1(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
+def _case1_arms(spec: ScenarioSpec, rng: RngStream, n: int):
     """Marginal Bernoulli(0.5) treatment, Gaussian covariates within each arm."""
-    n, p = spec.n, spec.p
     t = sample_bernoulli(rng, 0.5, n)
-    z = rng.normal((n, p))
-    root0 = psd_sqrt(spec.cov0)
-    root1 = psd_sqrt(spec.cov1)
-    x = np.empty((n, p))
+    z = rng.normal((n, spec.p))
+    x = np.empty((n, spec.p))
     is1 = t == 1
-    x[~is1] = spec.mean0 + z[~is1] @ root0
-    x[is1] = spec.mean1 + z[is1] @ root1
-    eps = rng.normal(n) * spec.noise_sd
-    y = _mean_outcome(spec, x, t) + eps
-    sample = ObservationalSample(covariates=x, treatment=t, outcome=y)
-    return GeneratedData(
-        sample=sample,
-        true_ps=true_ps_bayes(_gaussian_design(spec), x),
-        oracle_basis_control=spec.oracle_basis_control,
-        oracle_basis_treated=spec.oracle_basis_treated,
-        active_columns=spec.active_columns,
-    )
-
-
-def generate_case2(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
-    """Standard normal covariates; treatment from the family-1 Bayes functional."""
-    n, p = spec.n, spec.p
-    x = rng.normal((n, p))
-    ps = true_ps_bayes(_gaussian_design(spec), x)
-    t = (rng.uniform(n) < ps).astype(np.int64)
-    eps = rng.normal(n) * spec.noise_sd
-    y = _mean_outcome(spec, x, t) + eps
-    sample = ObservationalSample(covariates=x, treatment=t, outcome=y)
-    return GeneratedData(
-        sample=sample,
-        true_ps=ps,
-        oracle_basis_control=spec.oracle_basis_control,
-        oracle_basis_treated=spec.oracle_basis_treated,
-        active_columns=spec.active_columns,
-    )
+    x[~is1] = spec.mean0 + z[~is1] @ psd_sqrt(spec.cov0)
+    x[is1] = spec.mean1 + z[is1] @ psd_sqrt(spec.cov1)
+    return t, x
 
 
 def case3_latent_correlation(i: int, j: int, target: float) -> float:
@@ -398,18 +365,6 @@ def case3_latent_correlation(i: int, j: int, target: float) -> float:
     return float(target)
 
 
-def case3_realized_correlation(i: int, j: int, target: float) -> float:
-    """Product-moment correlation the calibrated latent design actually yields."""
-    rho = case3_latent_correlation(i, j, target)
-    bi = i in CASE3_BINARY
-    bj = j in CASE3_BINARY
-    if bi and bj:
-        return float(2.0 / np.pi * np.arcsin(rho))
-    if bi or bj:
-        return float(rho * _POINT_BISERIAL_MAX)
-    return rho
-
-
 def _case3_latent_root() -> np.ndarray:
     corr = np.eye(CASE3_P)
     for i, j, target in CASE3_CORRELATION_PAIRS:
@@ -418,36 +373,43 @@ def _case3_latent_root() -> np.ndarray:
     return psd_sqrt(corr)
 
 
-def generate_case3(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
-    """Mixed binary/continuous covariates, logit treatment, linear outcome."""
-    cfg = spec.coefficients
-    terms = cfg.terms(spec.model)
-    n = spec.n
+def _case3_covariates(rng: RngStream, n: int) -> np.ndarray:
+    """Mixed binary/continuous covariates: a latent Gaussian, some columns dichotomized."""
     latent = rng.normal((n, CASE3_P)) @ _case3_latent_root()
     x = latent.copy()
     for idx in CASE3_BINARY:
         x[:, idx - 1] = (latent[:, idx - 1] > 0.0).astype(float)
-    logits = _eval_terms(terms, x)
-    ps = 1.0 / (1.0 + np.exp(-logits))
-    t = (rng.uniform(n) < ps).astype(np.int64)
-    eps = rng.normal(n) * cfg.noise_sd
+    return x
+
+
+def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
+    """One replicate drawn from the scenario's data-generating process.
+
+    Family 1 draws treatment first, then covariates within each arm; families
+    2 and 3 draw covariates, then treatment from the true propensity (the
+    family-1 Bayes functional, or the config's logit model).
+    """
+    n = spec.n
+    if spec.family == "case1":
+        t, x = _case1_arms(spec, rng, n)
+        ps = true_ps_bayes(_gaussian_design(spec), x)
+    else:
+        if spec.family == "case2":
+            x = rng.normal((n, spec.p))
+            ps = true_ps_bayes(_gaussian_design(spec), x)
+        else:
+            x = _case3_covariates(rng, n)
+            ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.coefficients.terms(spec.model), x)))
+        t = (rng.uniform(n) < ps).astype(np.int64)
+    eps = rng.normal(n) * spec.noise_sd
     y = _mean_outcome(spec, x, t) + eps
-    sample = ObservationalSample(covariates=x, treatment=t, outcome=y)
     return GeneratedData(
-        sample=sample,
+        sample=ObservationalSample(covariates=x, treatment=t, outcome=y),
         true_ps=ps,
         oracle_basis_control=spec.oracle_basis_control,
         oracle_basis_treated=spec.oracle_basis_treated,
         active_columns=spec.active_columns,
     )
-
-
-def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
-    if spec.family == "case1":
-        return generate_case1(spec, rng)
-    if spec.family == "case2":
-        return generate_case2(spec, rng)
-    return generate_case3(spec, rng)
 
 
 # =============================================================================
@@ -460,32 +422,25 @@ _ANALYTIC_ACE = {"I": 4.25, "II": 1.0, "III": 10.0 ** -0.5}
 def monte_carlo_truth(spec: ScenarioSpec, estimand: str, seed: int,
                       n_draws: int = _TRUTH_DRAWS) -> float:
     """High-n Monte Carlo oracle for the true effect, on a dedicated stream."""
+    if spec.family == "case3":
+        return float(spec.coefficients.treatment_effect)
     rng = RngStream(seed, TRUTH_STREAM)
     total = 0.0
     weight = 0.0
     remaining = n_draws
-    root0 = psd_sqrt(spec.cov0) if spec.family == "case1" else None
-    root1 = psd_sqrt(spec.cov1) if spec.family == "case1" else None
     while remaining > 0:
         m = min(_CHUNK, remaining)
         remaining -= m
-        if spec.family == "case1":
-            if estimand == "acet":
-                x = spec.mean1 + rng.normal((m, spec.p)) @ root1
-                w = np.ones(m)
-            else:
-                t = sample_bernoulli(rng, 0.5, m)
-                z = rng.normal((m, spec.p))
-                x = np.empty((m, spec.p))
-                is1 = t == 1
-                x[~is1] = spec.mean0 + z[~is1] @ root0
-                x[is1] = spec.mean1 + z[is1] @ root1
-                w = np.ones(m)
-        elif spec.family == "case2":
+        w = np.ones(m)
+        if spec.family == "case2":
             x = rng.normal((m, spec.p))
-            w = true_ps_bayes(_gaussian_design(spec), x) if estimand == "acet" else np.ones(m)
+            if estimand == "acet":
+                w = true_ps_bayes(_gaussian_design(spec), x)
+        elif estimand == "acet":
+            # the treated arm alone: ACET averages the effect over the treated
+            x = spec.mean1 + rng.normal((m, spec.p)) @ psd_sqrt(spec.cov1)
         else:
-            return float(spec.coefficients.treatment_effect)
+            x = _case1_arms(spec, rng, m)[1]
         total += float((w * effect_function(spec, x)).sum())
         weight += float(w.sum())
     return total / weight
@@ -528,38 +483,6 @@ class MonteCarloReport:
     methods: dict = field(default_factory=dict)   # method id -> MethodResult
 
 
-def _run_method(method: str, data: GeneratedData, estimand: str, n_matches: int,
-                n_slices: int, alpha: float) -> float:
-    sample = data.sample
-    if method == "sdr":
-        return matching.sdr_matching_pipeline(
-            sample, n_slices=n_slices, alpha=alpha, n_matches=n_matches,
-            estimand=estimand,
-        ).value
-    if method == "ambient":
-        score = matching.BalancingScore.ambient(sample.covariates)
-    elif method == "ps-true":
-        score = matching.BalancingScore.propensity(data.true_ps)
-    elif method == "ps-logistic":
-        model = fit_logistic(sample.covariates, sample.treatment)
-        score = matching.BalancingScore.propensity(
-            predict_ps(model, sample.covariates)
-        )
-    elif method == "sdr-oracle":
-        z0 = sample.covariates @ data.oracle_basis_control
-        z1 = sample.covariates @ data.oracle_basis_treated
-        score = matching.BalancingScore.reduced(z0, z1)
-    elif method == "active-set-oracle":
-        score = matching.BalancingScore.ambient(
-            sample.covariates[:, list(data.active_columns)]
-        )
-    else:
-        raise InvalidArgument(f"unknown method {method!r}")
-    if estimand == "acet":
-        return matching.estimate_acet(sample, score, n_matches).value
-    return matching.estimate_ace(sample, score, n_matches).value
-
-
 def _one_replicate(spec: ScenarioSpec, rep: int, seed: int, estimand: str,
                    n_matches: int, n_slices: int, alpha: float) -> dict:
     rng = RngStream(seed, rep)
@@ -567,7 +490,9 @@ def _one_replicate(spec: ScenarioSpec, rep: int, seed: int, estimand: str,
     out = {}
     for method in spec.methods:
         try:
-            out[method] = _run_method(method, data, estimand, n_matches, n_slices, alpha)
+            score = matching.balancing_score(method, data.sample, estimand=estimand,
+                                             n_slices=n_slices, alpha=alpha, truth=data)
+            out[method] = matching.estimate(data.sample, score, estimand, n_matches).value
         except SdrMatchError:
             out[method] = np.nan
     return out

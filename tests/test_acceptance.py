@@ -15,10 +15,10 @@ from sdrmatch.matching import (
     FOR_CONTROL,
     FOR_TREATED,
     BalancingScore,
+    balancing_score,
     build_metric,
-    estimate_acet,
+    estimate,
     find_matches,
-    sdr_matching_pipeline,
 )
 from sdrmatch.numerics import RngStream, chi_square_sf, inverse_sqrt_spd, sym_eigen
 from sdrmatch.sdr import estimate_central_subspace
@@ -184,9 +184,9 @@ def test_criterion_08_analytic_effect_oracles():
 
 def test_criterion_09_observational_sign_split():
     sample = load_csv(LALONDE, "treat", "re78", LALONDE_COVARIATES)
-    sdr_est = sdr_matching_pipeline(sample, n_slices=5, alpha=0.05,
-                                    n_matches=1, estimand="acet")
-    amb_est = estimate_acet(sample, BalancingScore.ambient(sample.covariates), 1)
+    sdr_est = estimate(sample, balancing_score("sdr", sample, estimand="acet", n_slices=5,
+                                               alpha=0.05), "acet", n_matches=1)
+    amb_est = estimate(sample, BalancingScore.ambient(sample.covariates), "acet", 1)
     ok = sdr_est.value > 0 and amb_est.value < 0
     report(9, "shipped reproduction config: SDR ACET > 0 > ambient ACET "
               "(paper anchors 205 vs -361)", ok,

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,49 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert code == 0
         assert "propensity," in out
+
+
+def write_separated_csv(path, n=40):
+    """T = 1 exactly when a > 0: the logistic MLE does not exist."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("T,Y,a,b\n")
+        for i in range(n):
+            a = -2.0 + 4.0 * i / (n - 1)
+            b = float((i * 7) % 11) / 11.0
+            t = int(a > 0.0)
+            handle.write(f"{t},{a + b + t!r},{a!r},{b!r}\n")
+
+
+class TestNonConvergenceWarning:
+    WARNING = "warning: logistic propensity fit did not converge\n"
+
+    def test_estimate_warns(self, tmp_path, capsys):
+        f = tmp_path / "separated.csv"
+        write_separated_csv(f)
+        code = main([
+            "estimate", "--input", str(f), "--treatment", "T", "--outcome", "Y",
+            "--covariates", "a,b", "--method", "ps-logistic",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == self.WARNING
+        assert "method ps-logistic" in captured.out
+
+    def test_diagnose_warns_on_stderr_only(self, tmp_path, capsys):
+        f = tmp_path / "separated.csv"
+        write_separated_csv(f)
+        code = main([
+            "diagnose", "--input", str(f), "--treatment", "T", "--outcome", "Y",
+            "--covariates", "a,b",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == self.WARNING
+        # below the header (which names the temporary input path), the bytes
+        # diagnose printed on this file before it warned at all
+        body = captured.out.split("\n", 1)[1]
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        assert digest == "6b92076e719bd7827ae64b15ad3f2a8a15c9b0d12f11a7273ca5369cb2089a95"
 
 
 class TestErrorFormat:

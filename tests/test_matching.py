@@ -4,22 +4,25 @@ import numpy as np
 import pytest
 
 from sdrmatch.dataset import ObservationalSample
-from sdrmatch.errors import InsufficientDonors, InvalidArgument
+from sdrmatch import matching
+from sdrmatch.errors import InsufficientData, InsufficientDonors, InvalidArgument
 from sdrmatch.matching import (
     FOR_CONTROL,
     FOR_TREATED,
     BalancingScore,
     MahalanobisMetric,
-    ace_from_imputations,
+    balancing_score,
     build_metric,
-    estimate_ace,
-    estimate_acet,
+    estimate,
     find_matches,
     impute,
-    sdr_matching_pipeline,
 )
 from sdrmatch.numerics import RngStream
 from sdrmatch.simulation import generate, scenario
+
+
+def sdr_score(sample, estimand):
+    return balancing_score("sdr", sample, estimand=estimand, n_slices=5, alpha=0.05)
 
 
 def make_sample(x, t, y):
@@ -299,11 +302,15 @@ class TestImpute:
 
 class TestEstimators:
     def test_ace_hand_example(self):
-        # treated outcomes {3,5} with imputed {1,2}; controls {2,4} with {4,6}
-        treatment = np.array([1, 1, 0, 0])
-        outcome = np.array([3.0, 5.0, 2.0, 4.0])
-        imputed = np.array([1.0, 2.0, 4.0, 6.0])
-        assert ace_from_imputations(treatment, outcome, imputed) == pytest.approx(2.25)
+        # treated at 0, 10, 12 match controls at 1, 11, 11: contrasts 3-2, 5-4, 9-4;
+        # controls at 1, 11 match treated at 0, 10 (11 ties 10 and 12, lower
+        # index wins): contrasts 3-2, 5-4; mean (1+1+5+1+1)/5
+        x = np.array([[0.0], [10.0], [12.0], [1.0], [11.0]])
+        t = np.array([1, 1, 1, 0, 0])
+        y = np.array([3.0, 5.0, 9.0, 2.0, 4.0])
+        est = estimate(ObservationalSample(x, t, y), BalancingScore.ambient(x), "ace", 1)
+        assert est.imputed.tolist() == [2.0, 4.0, 4.0, 3.0, 5.0]
+        assert est.value == pytest.approx(1.8)
 
     def test_constant_outcomes_exact(self):
         rng = RngStream(53)
@@ -311,7 +318,7 @@ class TestEstimators:
         t = np.array([1] * 15 + [0] * 25)
         y = np.where(t == 1, 7.0, 3.0)
         sample = ObservationalSample(x, t, y.astype(float))
-        est = estimate_ace(sample, BalancingScore.ambient(x), 1)
+        est = estimate(sample, BalancingScore.ambient(x), "ace", 1)
         assert est.value == pytest.approx(4.0)
 
     def test_duplicate_subject_zero_distance_match(self):
@@ -319,7 +326,7 @@ class TestEstimators:
         t = np.array([1, 0, 0, 0])
         y = np.array([10.0, 4.5, 1.0, 2.0])
         sample = ObservationalSample(x, t, y)
-        est = estimate_acet(sample, BalancingScore.ambient(x), 1)
+        est = estimate(sample, BalancingScore.ambient(x), "acet", 1)
         assert est.imputed[0] == 4.5
         assert est.value == pytest.approx(10.0 - 4.5)
 
@@ -335,14 +342,14 @@ class TestEstimators:
         t = np.array([1, 0, 0, 0])
         y = np.array([9.0, 1.0, 2.0, 3.0])
         sample = ObservationalSample(x, t, y)
-        est = estimate_acet(sample, BalancingScore.ambient(x), 1)
+        est = estimate(sample, BalancingScore.ambient(x), "acet", 1)
         assert est.value == pytest.approx(9.0 - 1.0)
 
     def test_ace_needs_both_scores(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         sample = ObservationalSample(x, np.array([1, 0, 1, 0]), np.arange(4.0))
         with pytest.raises(InvalidArgument):
-            estimate_ace(sample, BalancingScore.reduced(x), 1)
+            estimate(sample, BalancingScore.reduced(x), "ace", 1)
 
     def test_replacement_counts(self):
         rng = RngStream(54)
@@ -352,7 +359,7 @@ class TestEstimators:
         y = rng.normal(n)
         sample = ObservationalSample(x, t, y)
         m = 2
-        est = estimate_ace(sample, BalancingScore.ambient(x), m)
+        est = estimate(sample, BalancingScore.ambient(x), "ace", m)
         assert est.diagnostics["reuse_counts"].sum() == m * n
 
 
@@ -388,10 +395,10 @@ class TestPipelineAndInvariants:
         t = (rng.uniform(n) < 0.5).astype(int)
         y = rng.normal(n)
         sample = ObservationalSample(x, t, y)
-        value = estimate_ace(sample, BalancingScore.ambient(x), 1).value
+        value = estimate(sample, BalancingScore.ambient(x), "ace", 1).value
         perm = np.argsort(rng.uniform(n))
         shuffled = ObservationalSample(x[perm], t[perm], y[perm])
-        value_perm = estimate_ace(shuffled, BalancingScore.ambient(x[perm]), 1).value
+        value_perm = estimate(shuffled, BalancingScore.ambient(x[perm]), "ace", 1).value
         assert value_perm == pytest.approx(value, abs=1e-12)
 
     def test_ace_decomposition_identity(self):
@@ -401,7 +408,7 @@ class TestPipelineAndInvariants:
         t = (rng.uniform(n) < 0.5).astype(int)
         y = rng.normal(n)
         sample = ObservationalSample(x, t, y)
-        est = estimate_ace(sample, BalancingScore.ambient(x), 1)
+        est = estimate(sample, BalancingScore.ambient(x), "ace", 1)
         y1 = np.where(t == 1, y, est.imputed)
         y0 = np.where(t == 0, y, est.imputed)
         assert est.value == float((y1 - y0).mean())
@@ -409,7 +416,7 @@ class TestPipelineAndInvariants:
     def test_pipeline_model_two_close_to_truth(self):
         spec = scenario("case1-II")
         data = generate(spec, RngStream(59, 0))
-        est = sdr_matching_pipeline(data.sample, estimand="ace")
+        est = estimate(data.sample, sdr_score(data.sample, "ace"), "ace")
         # constant effect 1; single-run tolerance of three Monte Carlo SDs
         assert abs(est.value - 1.0) <= 3.0 * 0.0551 + 0.03
         assert est.diagnostics["rank_control"] >= 1
@@ -417,8 +424,61 @@ class TestPipelineAndInvariants:
     def test_pipeline_acet_skips_treated_reduction(self):
         spec = scenario("case1-I")
         data = generate(spec, RngStream(60, 0))
-        est = sdr_matching_pipeline(data.sample, estimand="acet")
+        est = estimate(data.sample, sdr_score(data.sample, "acet"), "acet")
         assert est.diagnostics["rank_treated"] is None
         treated = data.sample.treatment == 1
         assert np.isfinite(est.imputed[treated]).all()
         assert np.isnan(est.imputed[~treated]).all()
+
+
+class TestBalancingScoreRegistry:
+    def test_truth_methods_need_truth(self):
+        data = generate(scenario("case1-II"), RngStream(61, 0))
+        for method in ("ps-true", "sdr-oracle", "active-set-oracle"):
+            with pytest.raises(InvalidArgument):
+                balancing_score(method, data.sample, estimand="ace", n_slices=5, alpha=0.05)
+            score = balancing_score(method, data.sample, estimand="ace", n_slices=5,
+                                    alpha=0.05, truth=data)
+            assert estimate(data.sample, score, "ace").value == pytest.approx(1.0, abs=0.5)
+
+    def test_unknown_method_and_estimand(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        sample = ObservationalSample(x, np.array([1, 0, 1, 0]), np.arange(4.0))
+        with pytest.raises(InvalidArgument):
+            balancing_score("nearest", sample, estimand="ace", n_slices=5, alpha=0.05)
+        with pytest.raises(InvalidArgument):
+            estimate(sample, BalancingScore.ambient(x), "att", 1)
+
+    def test_acet_sdr_fits_control_group_only(self):
+        # three treated subjects are too few for a treated-group SIR fit
+        rng = RngStream(62)
+        x = rng.normal((60, 3))
+        t = np.array([1] * 3 + [0] * 57)
+        sample = ObservationalSample(x, t, x[:, 0] + rng.normal(60))
+        with pytest.raises(InsufficientData):
+            sdr_score(sample, "ace")
+        est = estimate(sample, sdr_score(sample, "acet"), "acet")
+        assert est.diagnostics["rank_control"] >= 1
+        assert est.diagnostics["rank_treated"] is None
+        assert "rank_fallback_treated" not in est.diagnostics
+
+    def test_score_diagnostics_reach_the_estimate(self):
+        data = generate(scenario("case1-II"), RngStream(63, 0))
+        score = balancing_score("ps-logistic", data.sample, estimand="acet",
+                                n_slices=5, alpha=0.05)
+        est = estimate(data.sample, score, "acet")
+        assert est.diagnostics["logistic_converged"] is True
+
+    def test_ace_builds_one_metric_for_a_shared_score(self, monkeypatch):
+        calls = []
+
+        def counting_build_metric(scores, ridge=None):
+            calls.append(scores)
+            return build_metric(scores, ridge)
+
+        monkeypatch.setattr(matching, "build_metric", counting_build_metric)
+        data = generate(scenario("case1-III"), RngStream(64, 0))
+        estimate(data.sample, BalancingScore.ambient(data.sample.covariates), "ace")
+        assert len(calls) == 1
+        estimate(data.sample, sdr_score(data.sample, "ace"), "ace")
+        assert len(calls) == 3

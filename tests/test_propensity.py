@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdrmatch import propensity
 from sdrmatch.errors import DegenerateLabels, InvalidArgument, NotPSD
 from sdrmatch.numerics import RngStream, sample_bernoulli
 from sdrmatch.propensity import (
@@ -30,6 +31,23 @@ class TestFitLogistic:
         t = np.array([0, 0, 1, 1])
         model = fit_logistic(x, t, max_iter=50)
         assert not model.converged
+
+    def test_failed_step_halving_keeps_current_iterate(self, monkeypatch):
+        # every move away from the start lowers this log-likelihood by more
+        # than any step can gain, so no halved Newton step is acceptable
+        x = np.array([[-2.0], [-1.0], [0.5], [1.0], [2.0]])
+        t = np.array([0, 1, 0, 1, 1])
+        true_log_likelihood = propensity._log_likelihood
+
+        def lowered_off_start(y, eta):
+            value = true_log_likelihood(y, eta)
+            return value - 1e3 if eta.any() else value
+
+        monkeypatch.setattr(propensity, "_log_likelihood", lowered_off_start)
+        model = fit_logistic(x, t)
+        assert not model.converged
+        assert model.intercept == 0.0
+        assert not model.coefficients.any()
 
     def test_gradient_small_at_reported_convergence(self):
         rng = RngStream(41)

@@ -6,8 +6,9 @@ import pytest
 from sdrmatch.errors import ConfigError, InvalidArgument
 from sdrmatch.numerics import RngStream
 from sdrmatch.simulation import (
+    CASE3_BINARY,
     CASE3_CORRELATION_PAIRS,
-    case3_realized_correlation,
+    case3_latent_correlation,
     effect_function,
     generate,
     load_case3_config,
@@ -19,6 +20,19 @@ from sdrmatch.simulation import (
 
 REPO = Path(__file__).resolve().parents[1]
 COEF_CONFIG = REPO / "configs" / "case3_coefficients.json"
+
+
+def case3_realized_correlation(i: int, j: int, target: float) -> float:
+    """Product-moment correlation the calibrated latent design actually yields."""
+    rho = case3_latent_correlation(i, j, target)
+    bi = i in CASE3_BINARY
+    bj = j in CASE3_BINARY
+    if bi and bj:
+        return float(2.0 / np.pi * np.arcsin(rho))
+    if bi or bj:
+        # point-biserial: a dichotomized standard normal scales rho by phi(0)/0.5
+        return float(rho * np.exp(-0.5 * np.log(2 * np.pi)) / 0.5)
+    return rho
 
 
 class TestScenarioSpecs:

@@ -182,15 +182,13 @@ def write_csv(data, path):
 
 def check(path):
     from sdrmatch.dataset import load_csv
-    from sdrmatch.matching import BalancingScore, estimate_acet, sdr_matching_pipeline
-    from sdrmatch.propensity import fit_logistic, predict_ps
+    from sdrmatch.matching import balancing_score, estimate
 
     sample = load_csv(path, "treat", "re78", COLUMNS[1:11])
-    sdr_est = sdr_matching_pipeline(sample, estimand="acet")
-    amb_est = estimate_acet(sample, BalancingScore.ambient(sample.covariates), 1)
-    model = fit_logistic(sample.covariates, sample.treatment)
-    ps_est = estimate_acet(
-        sample, BalancingScore.propensity(predict_ps(model, sample.covariates)), 1
+    sdr_est, amb_est, ps_est = (
+        estimate(sample, balancing_score(method, sample, estimand="acet",
+                                         n_slices=5, alpha=0.05), "acet", 1)
+        for method in ("sdr", "ambient", "ps-logistic")
     )
     print(f"true effect on treated:   {EFFECT}")
     print(f"reduced-covariate ACET:   {sdr_est.value:10.1f}   "
