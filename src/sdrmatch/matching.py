@@ -114,9 +114,18 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
 
 @dataclass(frozen=True)
 class MahalanobisMetric:
-    """Inverse pooled covariance defining D(a, b) = sqrt((a-b)' Sigma^-1 (a-b))."""
+    """D(a, b) = sqrt((a-b)' Sigma^-1 (a-b)) = |(a-b) W|, held as its whitening
+    map W (W W' = Sigma^-1; W need not be symmetric), so matching on the
+    whitened scores z W is plain Euclidean search."""
 
-    inverse_covariance: np.ndarray
+    whitening: np.ndarray
+
+    @property
+    def inverse_covariance(self) -> np.ndarray:
+        """Sigma^-1 = W W', symmetrised; the canonical distance reads it."""
+        w = np.asarray(self.whitening, dtype=float)
+        inv = w @ w.T
+        return 0.5 * (inv + inv.T)
 
 
 @dataclass(frozen=True)
@@ -144,17 +153,15 @@ class CausalEstimate:
 def build_metric(scores, ridge: float | None = None) -> MahalanobisMetric:
     """Metric from the pooled (all-subject) sample covariance of the scores.
 
-    The inverse is ridge-stabilized through the eigen decomposition, so a
-    constant score column degenerates cleanly: pairwise differences along it
-    are zero and contribute nothing.
+    The whitening map is the ridge-stabilized inverse square root of that
+    covariance, so a constant score column degenerates cleanly: pairwise
+    differences along it are zero and contribute nothing.
     """
     z = np.atleast_2d(np.asarray(scores, dtype=float))
     if z.shape[0] < 2:
         raise InvalidArgument("need at least 2 rows to pool a covariance")
     cov = np.atleast_2d(np.cov(z, rowvar=False, ddof=1))
-    root = numerics.inverse_sqrt_spd(cov, ridge)
-    inv = root @ root
-    return MahalanobisMetric(inverse_covariance=0.5 * (inv + inv.T))
+    return MahalanobisMetric(numerics.inverse_sqrt_spd(cov, ridge))
 
 
 def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -202,7 +209,7 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         InsufficientDonors: donor group smaller than n_matches.
     """
     z = np.atleast_2d(np.asarray(scores, dtype=float))
-    inv = np.asarray(metric.inverse_covariance, dtype=float)
+    w = np.asarray(metric.whitening, dtype=float)
     t = np.asarray(treatment)
     if direction == FOR_TREATED:
         query_label = 1
@@ -214,6 +221,7 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         raise InvalidArgument(f"n_matches must be >= 1, got {n_matches}")
     if not np.isfinite(z).all():
         raise InvalidArgument("scores contain NaN or inf")
+    inv = metric.inverse_covariance     # non-finite wherever w is
     if not np.isfinite(inv).all():
         raise InvalidArgument("metric contains NaN or inf")
 
@@ -226,37 +234,30 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
             f"{donors.size} donors available, {n_matches} matches requested"
         )
 
-    # Filter bound. Let A be the symmetric part of inv (same quadratic form),
-    # c the donor mean, e = z - c, diff = z_a - z_b, S = |e_a|^2 + |e_b|^2
-    # (so |diff|^2 <= 2S), L = max|eig A|, N = max(0, -min eig A), u = 2^-53.
-    # With R = V diag(sqrt(max(eig A, 0))) and w = e R, the expansion
-    # approx = |w_a|^2 + |w_b|^2 - 2 w_a.w_b differs from the canonical value
-    # D by at most the sum of
-    #   - the rounding of D, a sum of k^2 products:
-    #     (k^2+2) u |diff|'|A||diff| <= (k^2+2) u sqrt(k) L 2S;
-    #   - the gap |diff'(RR' - A)diff|: eigh's O(k u L) backward error plus
-    #     the clamped eigenvalues (at most N), times |diff|^2 <= 2S;
-    #   - the rounding of e and of e R: O(k^1.5 u L S);
-    #   - the rounding of the expansion: O(k u (|w_a|^2 + |w_b|^2)).
-    # tol = tol_a + tol_b with tol_x = C (k+1) (|w_x|^2 + L |e_x|^2) + 2 N |e_x|^2
-    # and C = 1e-12 covers all four and the rounding of the filter's own sums.
-    # The worst-case terms stay under it up to k of about 150; typical errors
-    # are far smaller. The expansion of a squared norm rounds below 0 by less
-    # than tol, so approx +- tol also bound max(D, 0). Per row let T be the
-    # m-th smallest approx + tol. At least m donors have max(D, 0) <= T, so
-    # each donor of the canonical first m, ties included, has approx - tol <= T
-    # and is kept: the re-rank sees the exact order. |w_a|^2 is common to a
-    # row, so the filter drops it from both sides of that test.
+    # Filter bound. Let inv be the computed W W' that the canonical value D
+    # reads, c the donor mean, e = z - c, w = e W, diff = z_a - z_b,
+    # S = |e_a|^2 + |e_b|^2 (so |diff|^2 <= 2S), L = |W|_F^2 (at least the
+    # norm of |W||W|', so of |inv|) and u = 2^-53. The expansion
+    # approx = |w_a|^2 + |w_b|^2 - 2 w_a.w_b differs from D by at most
+    #   - the rounding of D, a sum of k^2 products: (k^2+2) u L 2S;
+    #   - plus the rounding of inv, of e and of e W: O(k u L S);
+    #   - plus the rounding of the expansion: O(k u (|w_a|^2 + |w_b|^2)).
+    # tol = tol_a + tol_b with tol_x = C (k+1) (|w_x|^2 + L |e_x|^2) and
+    # C = 1e-12 covers these and the rounding of the filter's own sums up to
+    # k of about 4,000; typical errors are far smaller. The expansion of a
+    # squared norm rounds below 0 by less than tol, so approx +- tol also
+    # bound max(D, 0). Per row let T be the m-th smallest approx + tol. At
+    # least m donors have max(D, 0) <= T, so each donor of the canonical
+    # first m, ties included, has approx - tol <= T and is kept: the re-rank
+    # sees the exact order. |w_a|^2 is common to a row, so the filter drops
+    # it from both sides of that test.
     zq, zd = z[queries], z[donors]
     centre = zd.mean(axis=0)
     eq, ed = zq - centre, zd - centre
-    eigenvalues, vectors = np.linalg.eigh(0.5 * (inv + inv.T))
-    root = vectors * np.sqrt(np.maximum(eigenvalues, 0.0))
-    wq, wd = eq @ root, ed @ root
+    wq, wd = eq @ w, ed @ w
     nd = np.einsum("ij,ij->i", wd, wd)
     per_w = _ROUNDING * (z.shape[1] + 1)
-    per_e = (per_w * np.abs(eigenvalues).max(initial=0.0)
-             + 2.0 * max(0.0, -eigenvalues.min(initial=0.0)))
+    per_e = per_w * np.einsum("ij,ij->", w, w)
     tol_q = per_w * np.einsum("ij,ij->i", wq, wq) + per_e * np.einsum("ij,ij->i", eq, eq)
     tol_d = per_w * nd + per_e * np.einsum("ij,ij->i", ed, ed)
     upper_d, lower_d = nd + tol_d, nd - tol_d

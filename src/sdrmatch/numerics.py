@@ -19,7 +19,7 @@ __all__ = [
     "RngStream",
     "sym_eigen",
     "inverse_sqrt_spd",
-    "psd_sqrt",
+    "spd_power",
     "chi_square_sf",
     "sample_bernoulli",
 ]
@@ -84,39 +84,35 @@ def default_ridge(m: np.ndarray) -> float:
     return _RIDGE_SCALE * (mean_diag if mean_diag > 0.0 else 1.0)
 
 
-def inverse_sqrt_spd(m, ridge: float | None = None) -> np.ndarray:
-    """Inverse square root of a symmetric PSD matrix.
+def spd_power(m, power: float, ridge: float = 0.0) -> np.ndarray:
+    """V diag((max(lambda_i, 0) + ridge)^power) V' for a symmetric PSD matrix.
 
-    Computes V diag((lambda_i + ridge)^(-1/2)) V'. Near-zero eigenvalues are
-    clamped at zero before the ridge is added. With ridge=None a scale-aware
-    default of 1e-8 * trace/p is used.
+    Raises:
+        InvalidMatrix: non-square, non-finite, or asymmetric input.
+        NotPSD: an eigenvalue is meaningfully negative.
+    """
+    a = _as_symmetric(m)
+    values, vectors = np.linalg.eigh(a)
+    _check_psd(values, "matrix")
+    scaled = np.maximum(values, 0.0) + ridge
+    with np.errstate(divide="ignore"):
+        powered = scaled ** power
+    out = (vectors * powered) @ vectors.T
+    return 0.5 * (out + out.T)
+
+
+def inverse_sqrt_spd(m, ridge: float | None = None) -> np.ndarray:
+    """spd_power(m, -0.5, ridge); ridge=None means 1e-8 * trace/p.
 
     Raises:
         NotPSD: an eigenvalue is meaningfully negative.
         InvalidArgument: negative ridge.
     """
-    a = _as_symmetric(m)
     if ridge is None:
-        ridge = default_ridge(a)
+        ridge = default_ridge(_as_symmetric(m))
     elif ridge < 0.0:
         raise InvalidArgument(f"ridge must be >= 0, got {ridge}")
-    values, vectors = np.linalg.eigh(a)
-    _check_psd(values, "matrix")
-    scaled = np.maximum(values, 0.0) + ridge
-    with np.errstate(divide="ignore"):
-        inv_root = scaled ** -0.5
-    out = (vectors * inv_root) @ vectors.T
-    return 0.5 * (out + out.T)
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Symmetric square root of a PSD matrix (eigen factorization)."""
-    a = _as_symmetric(m)
-    values, vectors = np.linalg.eigh(a)
-    _check_psd(values, "matrix")
-    root = np.sqrt(np.maximum(values, 0.0))
-    out = (vectors * root) @ vectors.T
-    return 0.5 * (out + out.T)
+    return spd_power(m, -0.5, ridge)
 
 
 def chi_square_sf(x: float, df: int) -> float:

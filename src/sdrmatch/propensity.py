@@ -65,12 +65,15 @@ def _log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
 def fit_logistic(covariates, treatment, max_iter: int = 100, tol: float = 1e-8) -> LogisticModel:
     """Newton-Raphson logistic MLE with step halving.
 
-    Convergence means the max-abs score (log-likelihood gradient) fell below
-    tol. Under separation the gradient also vanishes while the coefficients
-    diverge, so the fit additionally stops with converged=False once every
-    fitted probability sits within 10*tol of its label. When 30 halvings of a
-    Newton step all lower the log-likelihood, the fit keeps the current
-    coefficients and stops with converged=False.
+    Convergence means the score (log-likelihood gradient) is at most tol at
+    unit scale: max_j |g_j| / max(1, max_i |design_ij|) <= tol. Score entry j
+    sums design column j, so for covariates in large units its rounding alone
+    can exceed a raw tol; the division removes the units. Under separation
+    the gradient also vanishes while the coefficients diverge, so the fit
+    additionally stops with converged=False once every fitted probability
+    sits within 10*tol of its label. When 30 halvings of a Newton step all
+    lower the log-likelihood, the fit keeps the current coefficients and
+    stops with converged=False.
 
     Raises:
         DegenerateLabels: treatment contains a single class.
@@ -83,6 +86,7 @@ def fit_logistic(covariates, treatment, max_iter: int = 100, tol: float = 1e-8) 
         raise DegenerateLabels("treatment contains a single class")
 
     design = np.column_stack([np.ones(x.shape[0]), x])
+    column_size = np.maximum(1.0, np.abs(design).max(axis=0))
     beta = np.zeros(design.shape[1])
     eta = design @ beta
     loglik = _log_likelihood(y, eta)
@@ -94,7 +98,7 @@ def fit_logistic(covariates, treatment, max_iter: int = 100, tol: float = 1e-8) 
         if np.abs(residual).max() < 10.0 * tol:
             break  # saturated fit: separation, MLE at infinity
         gradient = design.T @ residual
-        if np.abs(gradient).max() <= tol:
+        if (np.abs(gradient) / column_size).max() <= tol:
             converged = True
             break
         if iterations == max_iter:

@@ -51,10 +51,12 @@ class SlicedMoments:
 class CentralSubspaceEstimate:
     """Estimated outcome-informative subspace for one treatment group.
 
-    `basis` lives in the standardized scale; `composite_map` chains the
-    standardization with the basis so reduced covariates can be computed for
-    any subject directly from raw covariates (up to the constant mean shift,
-    which matching distances ignore).
+    `basis` lives in the standardized scale. reduce_covariates computes
+    reduced covariates in two steps: standardize through `standardization`,
+    then apply `basis`. `composite_map` = inv_sqrt_cov @ basis is the same
+    linear map on the raw scale, up to the constant mean shift and rounding;
+    it gives each basis direction in raw-covariate units and is not read by
+    reduce_covariates.
     """
 
     group_label: int
@@ -204,8 +206,4 @@ def reduce_covariates(estimate: CentralSubspaceEstimate, covariates) -> np.ndarr
     the basis; returns an (n, rank) matrix.
     """
     x = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if x.shape[1] != estimate.composite_map.shape[0]:
-        raise InvalidArgument(
-            f"expected {estimate.composite_map.shape[0]} columns, got {x.shape[1]}"
-        )
     return apply_standardization(estimate.standardization, x) @ estimate.basis

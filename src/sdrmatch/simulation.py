@@ -26,7 +26,7 @@ import numpy as np
 from . import matching
 from .dataset import ObservationalSample
 from .errors import ConfigError, InvalidArgument, SdrMatchError
-from .numerics import RngStream, psd_sqrt, sample_bernoulli
+from .numerics import RngStream, sample_bernoulli, spd_power
 from .propensity import GaussianMixtureDesign, true_ps_bayes
 
 __all__ = [
@@ -87,7 +87,8 @@ class Case3Config:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One data-generating process plus the methods compared on it."""
+    """One data-generating process plus the methods compared on it; design
+    holds the arms' Gaussian covariate laws (families 1 and 2 only)."""
 
     case: str
     family: str
@@ -95,10 +96,7 @@ class ScenarioSpec:
     n: int
     p: int
     methods: tuple
-    mean0: np.ndarray | None = None
-    mean1: np.ndarray | None = None
-    cov0: np.ndarray | None = None
-    cov1: np.ndarray | None = None
+    design: GaussianMixtureDesign | None = None
     noise_sd: float = 0.5
     index_direction: np.ndarray | None = None
     oracle_basis_control: np.ndarray | None = None
@@ -174,16 +172,16 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
         if base_model == "II" and p < 3:
             raise InvalidArgument("model II needs p >= 3")
         mean1, delta1, basis0, basis1, active = _case1_parameters(base_model, p)
-        cov0 = _ar1_covariance(p, 0.2)
-        cov1 = _ar1_covariance(p, delta1)
+        design = GaussianMixtureDesign(mean0=np.zeros(p), mean1=mean1,
+                                       cov0=_ar1_covariance(p, 0.2),
+                                       cov1=_ar1_covariance(p, delta1), treat_prob=0.5)
         index_direction = None
         if base_model == "IV":
-            index_direction = np.linalg.solve(cov1, mean1)
+            index_direction = np.linalg.solve(design.cov1, mean1)
             basis0 = basis1 = _unit(index_direction)
         return ScenarioSpec(
             case=case, family=family, model=base_model, n=n, p=p, methods=methods,
-            mean0=np.zeros(p), mean1=mean1, cov0=cov0, cov1=cov1, noise_sd=0.5,
-            index_direction=index_direction,
+            design=design, noise_sd=0.5, index_direction=index_direction,
             oracle_basis_control=basis0.reshape(-1, 1),
             oracle_basis_treated=basis1.reshape(-1, 1),
             active_columns=active,
@@ -328,21 +326,15 @@ class GeneratedData:
     active_columns: tuple | None
 
 
-def _gaussian_design(spec: ScenarioSpec) -> GaussianMixtureDesign:
-    return GaussianMixtureDesign(
-        mean0=spec.mean0, mean1=spec.mean1, cov0=spec.cov0, cov1=spec.cov1,
-        treat_prob=0.5,
-    )
-
-
 def _case1_arms(spec: ScenarioSpec, rng: RngStream, n: int):
     """Marginal Bernoulli(0.5) treatment, Gaussian covariates within each arm."""
-    t = sample_bernoulli(rng, 0.5, n)
+    design = spec.design
+    t = sample_bernoulli(rng, design.treat_prob, n)
     z = rng.normal((n, spec.p))
     x = np.empty((n, spec.p))
     is1 = t == 1
-    x[~is1] = spec.mean0 + z[~is1] @ psd_sqrt(spec.cov0)
-    x[is1] = spec.mean1 + z[is1] @ psd_sqrt(spec.cov1)
+    x[~is1] = design.mean0 + z[~is1] @ spd_power(design.cov0, 0.5)
+    x[is1] = design.mean1 + z[is1] @ spd_power(design.cov1, 0.5)
     return t, x
 
 
@@ -370,7 +362,7 @@ def _case3_latent_root() -> np.ndarray:
     for i, j, target in CASE3_CORRELATION_PAIRS:
         rho = case3_latent_correlation(i, j, target)
         corr[i - 1, j - 1] = corr[j - 1, i - 1] = rho
-    return psd_sqrt(corr)
+    return spd_power(corr, 0.5)
 
 
 def _case3_covariates(rng: RngStream, n: int) -> np.ndarray:
@@ -392,11 +384,11 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
     n = spec.n
     if spec.family == "case1":
         t, x = _case1_arms(spec, rng, n)
-        ps = true_ps_bayes(_gaussian_design(spec), x)
+        ps = true_ps_bayes(spec.design, x)
     else:
         if spec.family == "case2":
             x = rng.normal((n, spec.p))
-            ps = true_ps_bayes(_gaussian_design(spec), x)
+            ps = true_ps_bayes(spec.design, x)
         else:
             x = _case3_covariates(rng, n)
             ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.coefficients.terms(spec.model), x)))
@@ -435,10 +427,10 @@ def monte_carlo_truth(spec: ScenarioSpec, estimand: str, seed: int,
         if spec.family == "case2":
             x = rng.normal((m, spec.p))
             if estimand == "acet":
-                w = true_ps_bayes(_gaussian_design(spec), x)
+                w = true_ps_bayes(spec.design, x)
         elif estimand == "acet":
             # the treated arm alone: ACET averages the effect over the treated
-            x = spec.mean1 + rng.normal((m, spec.p)) @ psd_sqrt(spec.cov1)
+            x = spec.design.mean1 + rng.normal((m, spec.p)) @ spd_power(spec.design.cov1, 0.5)
         else:
             x = _case1_arms(spec, rng, m)[1]
         total += float((w * effect_function(spec, x)).sum())

@@ -230,8 +230,9 @@ class TestExactness:
                 self.check(z, t, m, FOR_TREATED)
 
     def test_far_query_with_mirror_tied_donors(self):
+        # whitening [[2, 1], [1, 2]] gives the inverse covariance [[5, 4], [4, 5]]:
         # for a query on the diagonal, donors (a, b) and (b, a) are tied under
-        # this metric; far from them, rounding decides the canonical order
+        # it; far from them, rounding decides the canonical order
         metric = MahalanobisMetric(np.array([[2.0, 1.0], [1.0, 2.0]]))
         rng = RngStream(65)
         for rep in range(200):
@@ -240,21 +241,36 @@ class TestExactness:
             z = np.array([[far, far], [a, b], [b, a], [5.0, -7.0]])
             self.check(z, np.array([1, 0, 0, 0]), 1, FOR_TREATED, metric)
 
-    def test_indefinite_metric(self):
-        # negative squared distances clamp to 0 and tie; none may be filtered out
+    def test_far_query_near_collinear_columns(self):
+        # columns that differ by tiny tied offsets make W, and so the
+        # rounding of the canonical sum, large where |zW| is not: only the
+        # L |e|^2 part of the tolerance keeps the canonical first donor
+        rng = RngStream(67)
+        for rep in range(150):
+            k = 2 + rep % 3
+            shift = 10.0 ** (-2.0 - 4.0 * rng.uniform())
+            z = (np.floor(rng.uniform((40, 1)) * 3.0)
+                 + shift * np.floor(rng.uniform((40, k)) * 3.0))
+            z[0] = 10.0 ** (1.0 + 7.0 * rng.uniform()) * (1.0 + 1e-3 * rng.normal(k))
+            t = np.zeros(40, dtype=int)
+            t[0] = 1
+            self.check(z, t, 1, FOR_TREATED, build_metric(z[1:]))
+
+    def test_triangular_whitening(self):
+        # a lower-triangular W (a Cholesky-like factor of Sigma^-1) is not
+        # symmetric; the filter whitens with it, the re-rank reads W W'
         rng = RngStream(66)
-        for rep in range(30):
-            a = rng.normal((3, 3))
-            metric = MahalanobisMetric(a + a.T)
-            z = rng.normal((40, 3))
+        kinds = ("normal", "integer", "offset", "mixed-scale")
+        for rep in range(40):
+            k = 1 + rep % 4
+            w = np.tril(rng.normal((k, k)))
+            w[np.diag_indices(k)] = np.abs(w.diagonal()) + 0.1
+            z = self.draw_scores(rng, kinds[rep % len(kinds)], 40, k)
             t = (rng.uniform(40) < 0.5).astype(int)
-            queries = np.flatnonzero(t == 1).tolist()
-            donors = np.flatnonzero(t == 0).tolist()
-            dists = brute_force_distances(z, queries, [donors] * len(queries),
-                                          metric.inverse_covariance)
-            expected = [[d for _, d in sorted(zip(row, donors))[:2]] for row in dists]
-            mine = find_matches(z, t, metric, 2, FOR_TREATED)
-            assert mine.donor_indices.tolist() == expected
+            if t.sum() < 2 or (1 - t).sum() < 2:
+                continue
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                self.check(z, t, 2, direction, MahalanobisMetric(w))
 
     def test_memory_stays_bounded_at_large_n(self):
         # the full (n/2)^2 * p difference tensor would need about 8 GB here

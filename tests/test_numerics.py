@@ -7,8 +7,8 @@ from sdrmatch.numerics import (
     RngStream,
     chi_square_sf,
     inverse_sqrt_spd,
-    psd_sqrt,
     sample_bernoulli,
+    spd_power,
     sym_eigen,
 )
 
@@ -99,6 +99,28 @@ class TestInverseSqrtSpd:
             inverse_sqrt_spd(np.eye(2), ridge=-1.0)
 
 
+class TestSpdPower:
+    def test_inverse_sqrt_is_the_minus_half_power(self):
+        rng = RngStream(8)
+        for p in (1, 3, 7):
+            a = rng.normal((p + 2, p))
+            m = a.T @ a / (p + 2)
+            for ridge in (0.0, 1e-8, 0.3):
+                assert np.array_equal(spd_power(m, -0.5, ridge), inverse_sqrt_spd(m, ridge))
+
+    def test_square_root_squares_back(self):
+        rng = RngStream(9)
+        a = rng.normal((6, 4))
+        m = a.T @ a / 6
+        root = spd_power(m, 0.5)
+        assert np.array_equal(root, root.T)
+        assert np.abs(root @ root - m).max() <= 1e-12 * np.abs(m).max()
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(NotPSD):
+            spd_power(np.diag([1.0, -0.5]), 0.5)
+
+
 class TestChiSquare:
     def test_zero_is_one(self):
         for df in (1, 2, 7):
@@ -156,16 +178,16 @@ class TestRngStream:
 
 
 class TestSampling:
-    """psd_sqrt as a sampler's covariance root: mean + z @ psd_sqrt(cov)."""
+    """spd_power(cov, 0.5) as a sampler's covariance root: mean + z @ root."""
 
     def test_degenerate_covariance_returns_mean(self):
         rng = RngStream(1)
-        draws = np.array([2.0, -1.0]) + rng.normal((5, 2)) @ psd_sqrt(np.zeros((2, 2)))
+        draws = np.array([2.0, -1.0]) + rng.normal((5, 2)) @ spd_power(np.zeros((2, 2)), 0.5)
         assert np.array_equal(draws, np.tile([2.0, -1.0], (5, 1)))
 
     def test_identity_covariance_moments(self):
         rng = RngStream(2)
-        draws = rng.normal((10000, 2)) @ psd_sqrt(np.eye(2))
+        draws = rng.normal((10000, 2)) @ spd_power(np.eye(2), 0.5)
         cov = np.cov(draws, rowvar=False)
         assert np.abs(cov - np.eye(2)).max() < 0.1
 
@@ -173,7 +195,7 @@ class TestSampling:
         delta = 0.2
         idx = np.arange(3)
         cov = delta ** np.abs(idx[:, None] - idx[None, :])
-        draws = RngStream(3).normal((10000, 3)) @ psd_sqrt(cov)
+        draws = RngStream(3).normal((10000, 3)) @ spd_power(cov, 0.5)
         est = np.cov(draws, rowvar=False)
         assert est[0, 2] == pytest.approx(0.04, abs=0.05)
 

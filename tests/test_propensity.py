@@ -49,6 +49,20 @@ class TestFitLogistic:
         assert model.intercept == 0.0
         assert not model.coefficients.any()
 
+    def test_converges_in_large_units(self):
+        # a raw score entry sums 20,000 terms of size 1e6: its rounding alone
+        # exceeds an absolute 1e-8, so only the unit-scale test can pass
+        rng = np.random.default_rng(17)
+        n = 20_000
+        z = rng.standard_normal((n, 3))
+        logit = 0.3 + z @ np.array([0.5, -0.25, 0.1])
+        t = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-logit))).astype(int)
+        model = fit_logistic(z * 1e6, t)
+        assert model.converged
+        assert model.iterations < 20
+        unit = fit_logistic(z, t)
+        assert np.allclose(model.coefficients * 1e6, unit.coefficients, rtol=1e-9)
+
     def test_gradient_small_at_reported_convergence(self):
         rng = RngStream(41)
         x = rng.normal((400, 3))

@@ -38,9 +38,9 @@ def case3_realized_correlation(i: int, j: int, target: float) -> float:
 class TestScenarioSpecs:
     def test_model_four_mean_norm(self):
         spec = scenario("case1-IV")
-        assert np.linalg.norm(spec.mean1) == pytest.approx(0.5)
+        assert np.linalg.norm(spec.design.mean1) == pytest.approx(0.5)
         # first component is c1 * 1
-        assert spec.mean1[0] == pytest.approx(0.02548, abs=2e-5)
+        assert spec.design.mean1[0] == pytest.approx(0.02548, abs=2e-5)
 
     def test_unknown_scenario(self):
         with pytest.raises(InvalidArgument):
@@ -112,7 +112,9 @@ class TestCase2Generator:
     def test_identical_arms_give_half(self):
         import dataclasses
         spec = scenario("case2-I*", n=5000)
-        spec = dataclasses.replace(spec, cov1=spec.cov0.copy(), mean1=spec.mean0.copy())
+        design = dataclasses.replace(spec.design, cov1=spec.design.cov0.copy(),
+                                     mean1=spec.design.mean0.copy())
+        spec = dataclasses.replace(spec, design=design)
         data = generate(spec, RngStream(69, 0))
         assert np.allclose(data.true_ps, 0.5)
 
