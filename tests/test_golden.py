@@ -53,6 +53,9 @@ CASES = {
                               "--estimand", "ace"],
     "simulate-case1-IV-acet": ["simulate", "--scenario", "case1-IV", *SMALL,
                                "--estimand", "acet"],
+    # the only output that reaches model IV's oracle basis (sdr-oracle)
+    "simulate-case1-IV-all-ace": ["simulate", "--scenario", "case1-IV", *SMALL,
+                                  *ALL_METHODS, "--estimand", "ace"],
     "simulate-case2-Istar-acet": ["simulate", "--scenario", "case2-I*", *SMALL,
                                   *ALL_METHODS, "--estimand", "acet"],
     "simulate-case3-A-acet": ["simulate", "--scenario", "case3-A", *SMALL, *ALL_METHODS,
