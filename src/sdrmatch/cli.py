@@ -80,8 +80,8 @@ def build_parser() -> _Parser:
     sim.add_argument("--methods", default="ambient,ps-logistic,ps-true,sdr",
                      help="comma-separated method ids")
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: SDRMATCH_THREADS or machine "
-                          "parallelism); never affects output bytes")
+                     help="worker threads (default: the CPUs this process may run "
+                          "on); never affects output bytes")
     sim.add_argument("--coef-config", help="coefficient config (required for case3)")
     sim.add_argument("--output", help="report path (default: stdout)")
     sim.add_argument("--format", choices=("csv", "text"), default="csv")
@@ -158,7 +158,7 @@ def cmd_estimate(args) -> int:
 # =============================================================================
 
 def _header_line(command: str, args) -> str:
-    skip = {"command", "func", "threads", "output"}
+    skip = {"command", "threads", "output"}
     pairs = []
     for key in sorted(vars(args)):
         if key in skip:
@@ -209,14 +209,6 @@ def _format_report_text(report, header: str) -> str:
 def _resolve_threads(flag_value) -> int:
     if flag_value is not None:
         return max(1, flag_value)
-    env = os.environ.get("SDRMATCH_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidArgument(
-                f"SDRMATCH_THREADS must be an integer, got {env!r}"
-            ) from None
     # the CPUs this process may run on, which a container or taskset can limit
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -322,18 +314,12 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_diagnose(args)
-    except (SchemaError, ParseError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except InvalidArgument as exc:
+    except (SchemaError, ParseError, ConfigError, InvalidArgument, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except SdrMatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ESTIMATION_EXIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -74,7 +74,6 @@ class StandardizationMap:
 
     group_mean: np.ndarray
     inv_sqrt_cov: np.ndarray
-    group_label: int
 
 
 def _parse_cell(raw: str, row: int, column: str) -> float:
@@ -177,11 +176,7 @@ def fit_standardization(sample: ObservationalSample, group: int) -> Standardizat
         )
     mean = rows.mean(axis=0)
     cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
-    return StandardizationMap(
-        group_mean=mean,
-        inv_sqrt_cov=numerics.inverse_sqrt_spd(cov),
-        group_label=int(group),
-    )
+    return StandardizationMap(group_mean=mean, inv_sqrt_cov=numerics.inverse_sqrt_spd(cov))
 
 
 def apply_standardization(smap: StandardizationMap, covariates) -> np.ndarray:

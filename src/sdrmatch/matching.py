@@ -204,8 +204,10 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     O((max(2^18, d) + q + d) k) floats, whatever q and d are.
 
     Raises:
-        InvalidArgument: unknown direction, n_matches < 1, no subjects to
-            match, or NaN/inf in the scores or the metric.
+        InvalidArgument: unknown direction, n_matches < 1, scores and
+            treatment of different lengths, a whitening map that is not
+            k x k, no subjects to match, or NaN/inf in the scores or the
+            metric.
         InsufficientDonors: donor group smaller than n_matches.
     """
     z = np.atleast_2d(np.asarray(scores, dtype=float))
@@ -219,6 +221,14 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         raise InvalidArgument(f"unknown direction {direction!r}")
     if n_matches < 1:
         raise InvalidArgument(f"n_matches must be >= 1, got {n_matches}")
+    if t.shape != (z.shape[0],):
+        raise InvalidArgument(
+            f"scores have {z.shape[0]} rows, treatment has shape {t.shape}"
+        )
+    if w.shape != (z.shape[1], z.shape[1]):
+        raise InvalidArgument(
+            f"whitening map has shape {w.shape}, scores have {z.shape[1]} columns"
+        )
     if not np.isfinite(z).all():
         raise InvalidArgument("scores contain NaN or inf")
     inv = metric.inverse_covariance     # non-finite wherever w is

@@ -42,9 +42,11 @@ def _as_symmetric(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
+    if a.size == 0:
+        raise InvalidMatrix(f"{name} is empty (0 x 0)")
     if not np.isfinite(a).all():
         raise InvalidMatrix(f"{name} contains non-finite entries")
-    scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
+    scale = 1.0 + np.abs(a).max()
     if np.abs(a - a.T).max() > _SYMMETRY_RTOL * scale:
         raise InvalidMatrix(f"{name} is not symmetric within tolerance")
     return 0.5 * (a + a.T)
@@ -58,7 +60,7 @@ def sym_eigen(m) -> EigenDecomposition:
     component), which pins down an otherwise arbitrary sign.
 
     Raises:
-        InvalidMatrix: non-square, non-finite, or asymmetric input.
+        InvalidMatrix: non-square, empty, non-finite, or asymmetric input.
     """
     a = _as_symmetric(m)
     values, vectors = np.linalg.eigh(a)
@@ -70,8 +72,6 @@ def sym_eigen(m) -> EigenDecomposition:
 
 
 def _check_psd(values: np.ndarray, name: str) -> None:
-    if values.size == 0:
-        return
     tol = _PSD_RTOL * max(1.0, float(np.abs(values).max()))
     if float(values.min()) < -tol:
         raise NotPSD(f"{name} has eigenvalue {values.min():.3e} below -{tol:.1e}")
@@ -88,7 +88,7 @@ def spd_power(m, power: float, ridge: float = 0.0) -> np.ndarray:
     """V diag((max(lambda_i, 0) + ridge)^power) V' for a symmetric PSD matrix.
 
     Raises:
-        InvalidMatrix: non-square, non-finite, or asymmetric input.
+        InvalidMatrix: non-square, empty, non-finite, or asymmetric input.
         NotPSD: an eigenvalue is meaningfully negative.
     """
     a = _as_symmetric(m)

@@ -59,9 +59,7 @@ class CentralSubspaceEstimate:
     reduce_covariates.
     """
 
-    group_label: int
     standardization: StandardizationMap
-    candidate: np.ndarray
     eigenvalues: np.ndarray
     basis: np.ndarray
     selected_rank: int
@@ -101,18 +99,9 @@ def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> Slic
             effective_slices=int(boundaries.shape[0]),
         )
 
+    # every boundary is an observed outcome, so no slice is empty
     assignment = np.searchsorted(boundaries, y, side="left")
     sizes = np.bincount(assignment, minlength=boundaries.shape[0])
-    keep = sizes > 0
-    if keep.sum() < 2:
-        raise SliceError(
-            f"outcome ties leave {int(keep.sum())} usable slice(s)",
-            effective_slices=int(keep.sum()),
-        )
-    boundaries = boundaries[keep]
-    sizes = sizes[keep]
-    remap = np.cumsum(keep) - 1
-    assignment = remap[assignment]
 
     k = boundaries.shape[0]
     means = np.empty((k, z.shape[1]))
@@ -178,8 +167,7 @@ def estimate_central_subspace(sample: ObservationalSample, group: int,
     smap = fit_standardization(sample, group)
     z = apply_standardization(smap, sample.covariates[members])
     sliced = slice_by_quantiles(sample.outcome[members], z, n_slices)
-    cand = candidate_matrix(sliced)
-    eig = numerics.sym_eigen(cand)
+    eig = numerics.sym_eigen(candidate_matrix(sliced))
     selected, pvalues = sequential_rank_test(
         eig.eigenvalues, members.size, p, sliced.slice_count, alpha
     )
@@ -187,9 +175,7 @@ def estimate_central_subspace(sample: ObservationalSample, group: int,
     rank = max(selected, 1)
     basis = eig.eigenvectors[:, :rank]
     return CentralSubspaceEstimate(
-        group_label=int(group),
         standardization=smap,
-        candidate=cand,
         eigenvalues=eig.eigenvalues,
         basis=basis,
         selected_rank=rank,

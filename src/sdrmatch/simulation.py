@@ -87,8 +87,12 @@ class Case3Config:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One data-generating process plus the methods compared on it; design
-    holds the arms' Gaussian covariate laws (families 1 and 2 only)."""
+    """One data-generating process plus the methods compared on it.
+
+    design is the family's payload: the arms' Gaussian covariate laws
+    (GaussianMixtureDesign) for families 1 and 2, the coefficient config
+    (Case3Config) for family 3.
+    """
 
     case: str
     family: str
@@ -96,18 +100,14 @@ class ScenarioSpec:
     n: int
     p: int
     methods: tuple
-    design: GaussianMixtureDesign | None = None
-    noise_sd: float = 0.5
-    index_direction: np.ndarray | None = None
-    oracle_basis_control: np.ndarray | None = None
-    oracle_basis_treated: np.ndarray | None = None
-    active_columns: tuple | None = None
-    coefficients: Case3Config | None = None
+    design: GaussianMixtureDesign | Case3Config
+    noise_sd: float
+    oracle_basis_control: np.ndarray
+    oracle_basis_treated: np.ndarray
+    active_columns: tuple
 
 
 def _ar1_covariance(p: int, delta: float) -> np.ndarray:
-    if not -1.0 < delta < 1.0:
-        raise InvalidArgument(f"AR(1) parameter must be in (-1, 1), got {delta}")
     idx = np.arange(p)
     return delta ** np.abs(idx[:, None] - idx[None, :])
 
@@ -139,9 +139,10 @@ def _case1_parameters(model: str, p: int):
     elif model == "IV":
         k = np.arange(1, p + 1, dtype=float)
         mean1 = 0.5 * k / np.linalg.norm(k)
-        basis0 = basis1 = None  # filled once cov1 exists
-        active = tuple(range(p))
         delta1 = 0.2
+        # the outcome's index direction, cov1^-1 mean1 (see _mean_outcome)
+        basis0 = basis1 = _unit(np.linalg.solve(_ar1_covariance(p, delta1), mean1))
+        active = tuple(range(p))
     else:
         raise InvalidArgument(f"unknown model {model!r}")
     return mean1, delta1, basis0, basis1, active
@@ -175,13 +176,9 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
         design = GaussianMixtureDesign(mean0=np.zeros(p), mean1=mean1,
                                        cov0=_ar1_covariance(p, 0.2),
                                        cov1=_ar1_covariance(p, delta1), treat_prob=0.5)
-        index_direction = None
-        if base_model == "IV":
-            index_direction = np.linalg.solve(design.cov1, mean1)
-            basis0 = basis1 = _unit(index_direction)
         return ScenarioSpec(
             case=case, family=family, model=base_model, n=n, p=p, methods=methods,
-            design=design, noise_sd=0.5, index_direction=index_direction,
+            design=design, noise_sd=0.5,
             oracle_basis_control=basis0.reshape(-1, 1),
             oracle_basis_treated=basis1.reshape(-1, 1),
             active_columns=active,
@@ -197,9 +194,9 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
     active = tuple(int(i) for i in np.flatnonzero(omega != 0.0))
     return ScenarioSpec(
         case=case, family="case3", model=model, n=n, p=CASE3_P, methods=methods,
-        noise_sd=coefficients.noise_sd,
+        design=coefficients, noise_sd=coefficients.noise_sd,
         oracle_basis_control=basis, oracle_basis_treated=basis,
-        active_columns=active, coefficients=coefficients,
+        active_columns=active,
     )
 
 
@@ -297,7 +294,7 @@ def _mean_outcome(spec: ScenarioSpec, x: np.ndarray, t) -> np.ndarray:
     """Noise-free potential outcome mean for each row of x at treatment t."""
     t = np.asarray(t, dtype=float)
     if spec.family == "case3":
-        cfg = spec.coefficients
+        cfg = spec.design
         return cfg.outcome_intercept + x @ cfg.outcome_coefficients + cfg.treatment_effect * t
     model = spec.model
     if model == "I":
@@ -307,7 +304,7 @@ def _mean_outcome(spec: ScenarioSpec, x: np.ndarray, t) -> np.ndarray:
     if model == "III":
         return x[:, 0] + x[:, 1] + x[:, 2] + t * (x[:, 3] + x[:, 4])
     # model IV
-    index = x @ spec.index_direction
+    index = x @ np.linalg.solve(spec.design.cov1, spec.design.mean1)
     return 3.0 * np.sin(index / 3.0) + t * index ** 2 / 3.0
 
 
@@ -321,9 +318,9 @@ def effect_function(spec: ScenarioSpec, x: np.ndarray) -> np.ndarray:
 class GeneratedData:
     sample: ObservationalSample
     true_ps: np.ndarray
-    oracle_basis_control: np.ndarray | None
-    oracle_basis_treated: np.ndarray | None
-    active_columns: tuple | None
+    oracle_basis_control: np.ndarray
+    oracle_basis_treated: np.ndarray
+    active_columns: tuple
 
 
 def _case1_arms(spec: ScenarioSpec, rng: RngStream, n: int):
@@ -391,7 +388,7 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
             ps = true_ps_bayes(spec.design, x)
         else:
             x = _case3_covariates(rng, n)
-            ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.coefficients.terms(spec.model), x)))
+            ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.design.terms(spec.model), x)))
         t = (rng.uniform(n) < ps).astype(np.int64)
     eps = rng.normal(n) * spec.noise_sd
     y = _mean_outcome(spec, x, t) + eps
@@ -415,7 +412,7 @@ def monte_carlo_truth(spec: ScenarioSpec, estimand: str, seed: int,
                       n_draws: int = _TRUTH_DRAWS) -> float:
     """High-n Monte Carlo oracle for the true effect, on a dedicated stream."""
     if spec.family == "case3":
-        return float(spec.coefficients.treatment_effect)
+        return float(spec.design.treatment_effect)
     rng = RngStream(seed, TRUTH_STREAM)
     total = 0.0
     weight = 0.0
@@ -443,7 +440,7 @@ def true_effect(spec: ScenarioSpec, estimand: str, seed: int) -> tuple[float, st
     if estimand not in ("ace", "acet"):
         raise InvalidArgument(f"unknown estimand {estimand!r}")
     if spec.family == "case3":
-        return float(spec.coefficients.treatment_effect), "analytic"
+        return float(spec.design.treatment_effect), "analytic"
     if estimand == "ace" and spec.model in _ANALYTIC_ACE:
         return _ANALYTIC_ACE[spec.model], "analytic"
     if estimand == "acet" and spec.model == "II":

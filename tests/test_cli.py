@@ -169,24 +169,9 @@ class TestSimulate:
         capsys.readouterr()
         assert files[0] == files[1]
 
-    def test_thread_env_override(self, tmp_path, capsys, monkeypatch):
-        files = []
-        for name, env in (("a.csv", "2"), ("b.csv", "5")):
-            monkeypatch.setenv("SDRMATCH_THREADS", env)
-            out_file = tmp_path / name
-            code = main([
-                "simulate", "--scenario", "case1-II", "--n", "200", "--reps", "6",
-                "--seed", "4", "--methods", "ambient", "--output", str(out_file),
-            ])
-            assert code == 0
-            files.append(out_file.read_bytes())
-        capsys.readouterr()
-        assert files[0] == files[1]
-
     def test_default_threads_follow_cpu_affinity(self, monkeypatch):
         from sdrmatch import cli
 
-        monkeypatch.delenv("SDRMATCH_THREADS", raising=False)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         assert cli._resolve_threads(None) == 3
 

@@ -126,26 +126,26 @@ class TestStandardization:
 class TestApplyStandardization:
     def test_identity_map(self):
         from sdrmatch.dataset import StandardizationMap
-        smap = StandardizationMap(np.zeros(2), np.eye(2), 0)
+        smap = StandardizationMap(np.zeros(2), np.eye(2))
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(apply_standardization(smap, x), x)
 
     def test_hand_example(self):
         from sdrmatch.dataset import StandardizationMap
-        smap = StandardizationMap(np.array([1.0, 1.0]), np.diag([2.0, 2.0]), 0)
+        smap = StandardizationMap(np.array([1.0, 1.0]), np.diag([2.0, 2.0]))
         out = apply_standardization(smap, np.array([2.0, 3.0]))
         assert np.allclose(out, [2.0, 4.0])
 
     def test_dimension_mismatch(self):
         from sdrmatch.dataset import StandardizationMap
-        smap = StandardizationMap(np.zeros(2), np.eye(2), 0)
+        smap = StandardizationMap(np.zeros(2), np.eye(2))
         with pytest.raises(InvalidArgument):
             apply_standardization(smap, np.ones((3, 3)))
 
     def test_affine_in_input(self):
         from sdrmatch.dataset import StandardizationMap
         rng = RngStream(13)
-        smap = StandardizationMap(rng.normal(3), np.eye(3) + 0.1, 0)
+        smap = StandardizationMap(rng.normal(3), np.eye(3) + 0.1)
         x, y = rng.normal(3), rng.normal(3)
         for alpha in (0.0, 0.25, 1.0):
             mix = alpha * x + (1 - alpha) * y

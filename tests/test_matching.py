@@ -5,7 +5,7 @@ import pytest
 
 from sdrmatch.dataset import ObservationalSample
 from sdrmatch import matching
-from sdrmatch.errors import InsufficientData, InsufficientDonors, InvalidArgument
+from sdrmatch.errors import InsufficientData, InsufficientDonors, InvalidArgument, InvalidMatrix
 from sdrmatch.matching import (
     FOR_CONTROL,
     FOR_TREATED,
@@ -143,6 +143,13 @@ class TestFindMatches:
         t = np.array([0, 0, 0])
         with pytest.raises(InvalidArgument):
             find_matches(z, t, MahalanobisMetric(np.eye(1)), 1, FOR_TREATED)
+
+    def test_whitening_map_must_be_k_by_k(self):
+        z = np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.2], [2.0, 1.0]])
+        t = np.array([1, 0, 0, 0])
+        for w in (np.eye(1), np.eye(3), np.ones((2, 3))):
+            with pytest.raises(InvalidArgument):
+                find_matches(z, t, MahalanobisMetric(w), 1, FOR_TREATED)
 
     def test_agrees_with_brute_force(self):
         rng = RngStream(52)
@@ -360,6 +367,25 @@ class TestEstimators:
         sample = ObservationalSample(x, t, y)
         est = estimate(sample, BalancingScore.ambient(x), "acet", 1)
         assert est.value == pytest.approx(9.0 - 1.0)
+
+    def test_scores_must_have_one_row_per_subject(self):
+        # queries and donors come from the treatment vector, so extra score
+        # rows would be matched silently
+        rng = RngStream(55)
+        x = rng.normal((40, 2))
+        sample = ObservationalSample(x, np.array([1, 0] * 20), rng.normal(40))
+        for score in (BalancingScore.ambient(np.vstack([x, x])),
+                      BalancingScore.propensity(rng.uniform((40, 2)))):
+            with pytest.raises(InvalidArgument):
+                estimate(sample, score, "ace", 1)
+
+    def test_zero_column_scores_raise_typed_error(self):
+        rng = RngStream(56)
+        sample = ObservationalSample(np.empty((40, 0)), np.array([1, 0] * 20), rng.normal(40))
+        for method in ("ambient", "sdr"):
+            with pytest.raises(InvalidMatrix):
+                estimate(sample, balancing_score(method, sample, estimand="ace",
+                                                 n_slices=5, alpha=0.05))
 
     def test_ace_needs_both_scores(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])

@@ -69,6 +69,11 @@ class TestSymEigen:
         with pytest.raises(InvalidMatrix):
             sym_eigen([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_empty(self):
+        for kernel in (sym_eigen, inverse_sqrt_spd, lambda m: spd_power(m, 0.5)):
+            with pytest.raises(InvalidMatrix):
+                kernel(np.empty((0, 0)))
+
 
 class TestInverseSqrtSpd:
     def test_identity(self):

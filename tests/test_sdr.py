@@ -53,6 +53,18 @@ class TestSlicing:
         sliced = slice_by_quantiles(y, z, 5)
         assert sliced.slice_sizes.sum() == 97
         assert (sliced.slice_sizes > 0).all()
+        # tie-heavy integer outcomes: every slice is still non-empty
+        for rep in range(200):
+            n = 5 + int(rng.uniform() * 60)
+            y = np.floor(rng.uniform(n) * (1 + int(rng.uniform() * 6)))
+            n_slices = 2 + int(rng.uniform() * min(n - 1, 9))
+            try:
+                sliced = slice_by_quantiles(y, np.zeros((n, 1)), n_slices)
+            except SliceError:
+                continue
+            assert sliced.slice_sizes.sum() == n
+            assert (sliced.slice_sizes > 0).all()
+            assert sliced.slice_sizes.shape == (sliced.slice_count,)
 
 
 class TestCandidateMatrix:
@@ -175,9 +187,7 @@ class TestReduceCovariates:
         from sdrmatch.sdr import CentralSubspaceEstimate
         basis = np.array([[1.0], [0.0], [0.0]])
         est = CentralSubspaceEstimate(
-            group_label=0,
-            standardization=StandardizationMap(np.zeros(3), np.eye(3), 0),
-            candidate=np.zeros((3, 3)),
+            standardization=StandardizationMap(np.zeros(3), np.eye(3)),
             eigenvalues=np.zeros(3),
             basis=basis,
             selected_rank=1,
@@ -193,9 +203,7 @@ class TestReduceCovariates:
         from sdrmatch.sdr import CentralSubspaceEstimate
         basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         est = CentralSubspaceEstimate(
-            group_label=0,
-            standardization=StandardizationMap(np.zeros(3), np.eye(3), 0),
-            candidate=np.zeros((3, 3)),
+            standardization=StandardizationMap(np.zeros(3), np.eye(3)),
             eigenvalues=np.zeros(3),
             basis=basis,
             selected_rank=2,
