@@ -208,7 +208,9 @@ def _format_report_text(report, header: str) -> str:
 
 def _resolve_threads(flag_value) -> int:
     if flag_value is not None:
-        return max(1, flag_value)
+        if flag_value < 1:
+            raise InvalidArgument(f"--threads must be >= 1, got {flag_value}")
+        return flag_value
     # the CPUs this process may run on, which a container or taskset can limit
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

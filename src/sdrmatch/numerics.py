@@ -3,14 +3,17 @@
 All other modules build on the handful of kernels defined here. Matrices are
 plain float64 numpy arrays; eigen-decompositions follow a fixed ordering and
 sign convention so that downstream bases are reproducible run to run.
+
+The chi-square tail (integer df only) is closed-form ``math``; scipy is imported
+only inside ``RngStream.normal``, for ``ndtri``, so estimating never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidArgument, InvalidMatrix, NotPSD
 
@@ -116,12 +119,22 @@ def inverse_sqrt_spd(m, ridge: float | None = None) -> np.ndarray:
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """P(chi-square_df > x) via the regularized upper incomplete gamma."""
+    """P(chi-square_df > x) in closed form; h = x/2, s = (df mod 2)/2.
+
+    erfc(sqrt h) [odd df] + sum_{j < df//2} e^-h h^(j+s) / Gamma(j+s+1), each term
+    formed in log space so that none underflows while the tail is representable.
+    """
     if not float(x) >= 0.0:
         raise InvalidArgument(f"x must be >= 0, got {x}")
     if int(df) != df or df < 1:
         raise InvalidArgument(f"df must be a positive integer, got {df}")
-    return float(special.gammaincc(df / 2.0, float(x) / 2.0))
+    h = float(x) / 2.0
+    if h == 0.0 or h == math.inf:
+        return 1.0 if h == 0.0 else 0.0
+    s, log_h = 0.5 * (int(df) % 2), math.log(h)
+    terms = [math.exp((j + s) * log_h - h - math.lgamma(j + s + 1.0))
+             for j in range(int(df) // 2)]
+    return min(1.0, math.fsum([math.erfc(math.sqrt(h)) if s else 0.0, *terms]))
 
 
 class RngStream:
@@ -153,7 +166,9 @@ class RngStream:
 
     def normal(self, size=None) -> np.ndarray:
         """Standard normals via the inverse CDF, one uniform per draw."""
-        return special.ndtri(self.uniform(size))
+        # imported here so that only code which draws normals loads scipy
+        from scipy.special import ndtri
+        return ndtri(self.uniform(size))
 
 
 def sample_bernoulli(rng: RngStream, prob: float, n: int) -> np.ndarray:

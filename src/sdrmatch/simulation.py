@@ -101,10 +101,14 @@ class ScenarioSpec:
     p: int
     methods: tuple
     design: GaussianMixtureDesign | Case3Config
-    noise_sd: float
     oracle_basis_control: np.ndarray
     oracle_basis_treated: np.ndarray
     active_columns: tuple
+
+    @property
+    def noise_sd(self) -> float:
+        """Outcome noise s.d.: 0.5 in families 1 and 2, the config's in family 3."""
+        return self.design.noise_sd if self.family == "case3" else 0.5
 
 
 def _ar1_covariance(p: int, delta: float) -> np.ndarray:
@@ -178,7 +182,7 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
                                        cov1=_ar1_covariance(p, delta1), treat_prob=0.5)
         return ScenarioSpec(
             case=case, family=family, model=base_model, n=n, p=p, methods=methods,
-            design=design, noise_sd=0.5,
+            design=design,
             oracle_basis_control=basis0.reshape(-1, 1),
             oracle_basis_treated=basis1.reshape(-1, 1),
             active_columns=active,
@@ -194,7 +198,7 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
     active = tuple(int(i) for i in np.flatnonzero(omega != 0.0))
     return ScenarioSpec(
         case=case, family="case3", model=model, n=n, p=CASE3_P, methods=methods,
-        design=coefficients, noise_sd=coefficients.noise_sd,
+        design=coefficients,
         oracle_basis_control=basis, oracle_basis_treated=basis,
         active_columns=active,
     )

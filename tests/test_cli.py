@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +293,15 @@ class TestErrorFormat:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_two(self, threads, capsys):
+        code = main(["simulate", "--scenario", "case1-I", "--reps", "4",
+                     "--threads", threads])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --threads must be >= 1, got {threads}\n"
+
     def test_missing_file(self, capsys):
         code = main([
             "estimate", "--input", "/nonexistent.csv", "--treatment", "T",
@@ -298,3 +310,41 @@ class TestErrorFormat:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:")
+
+
+# Runs in a fresh interpreter, since pytest itself has loaded scipy by now.
+_SCIPY_FOOTPRINT = """
+import sys
+import sdrmatch, sdrmatch.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), ("import", scipy_modules())
+data = ["--input", {lalonde!r}, "--treatment", "treat", "--outcome", "re78",
+        "--covariates", {covariates!r}]
+for argv in (["estimate", *data, "--method", "sdr"],
+             ["estimate", *data, "--method", "ps-logistic"],
+             ["estimate", *data, "--method", "ambient"],
+             ["diagnose", *data]):
+    assert sdrmatch.cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules())
+# normals import scipy.special lazily, here from two worker threads at once
+argv = ["simulate", "--scenario", "case1-II", "--n", "100", "--reps", "4",
+        "--methods", "ambient", "--threads", "2"]
+assert sdrmatch.cli.main(argv) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+class TestImportFootprint:
+    def test_estimate_and_diagnose_never_load_scipy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+        )
+        script = _SCIPY_FOOTPRINT.format(lalonde=str(LALONDE),
+                                         covariates=LALONDE_COVARIATES)
+        result = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr

@@ -354,11 +354,16 @@ class TestEstimators:
         assert est.value == pytest.approx(10.0 - 4.5)
 
     def test_acet_hand_example(self):
-        treatment = np.array([1, 1])
-        outcome = np.array([3.0, 5.0])
-        imputed = np.array([1.0, 2.0])
-        value = float((outcome - imputed).mean())
-        assert value == pytest.approx(2.5)
+        # treated at 0 and 10 match the controls at 1 and 9 (the control at 20
+        # is nobody's nearest): contrasts 3-1 and 8-2, mean 4; the ACET
+        # imputes no control
+        x = np.array([[0.0], [10.0], [1.0], [9.0], [20.0]])
+        t = np.array([1, 1, 0, 0, 0])
+        y = np.array([3.0, 8.0, 1.0, 2.0, 50.0])
+        est = estimate(ObservationalSample(x, t, y), BalancingScore.ambient(x), "acet", 1)
+        assert est.imputed[:2].tolist() == [1.0, 2.0]
+        assert np.isnan(est.imputed[2:]).all()
+        assert est.value == 4.0
 
     def test_acet_single_treated(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])

@@ -154,6 +154,29 @@ class TestChiSquare:
                     1.0, abs=1e-10
                 )
 
+    @staticmethod
+    def _worst_relative_error(pairs):
+        # against scipy's regularized upper incomplete gamma, wherever that
+        # tail is representable
+        errors = [abs(chi_square_sf(x, df) - ref) / ref for x, df in pairs
+                  if (ref := special.gammaincc(df / 2.0, x / 2.0)) > 1e-290]
+        return max(errors)
+
+    def test_matches_gammaincc_up_to_df_100(self):
+        pairs = [(x, df) for df in range(1, 101) for x in np.linspace(0.0, 300.0, 121)]
+        assert self._worst_relative_error(pairs) <= 1e-12
+
+    def test_matches_gammaincc_up_to_df_2001(self):
+        # a term started at e^(-x/2) underflows here; the tail does not
+        pairs = [(c * df, df) for df in range(1, 2002, 25)
+                 for c in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)]
+        assert self._worst_relative_error(pairs) <= 1e-11
+        assert chi_square_sf(2000.0, 2000) == pytest.approx(0.4958, abs=1e-4)
+
+    def test_endpoints_exact_at_every_df(self):
+        assert all(chi_square_sf(0.0, df) == 1.0 for df in range(1, 2002))
+        assert all(chi_square_sf(np.inf, df) == 0.0 for df in range(1, 2002))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidArgument):
             chi_square_sf(-1.0, 2)

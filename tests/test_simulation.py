@@ -165,6 +165,17 @@ class TestCase3Generator:
         assert resid.mean() == pytest.approx(0.0, abs=0.01)
         assert resid.std() == pytest.approx(0.1, abs=0.01)
 
+    def test_noise_level_comes_from_the_config(self, config):
+        # the config is the only place the family-3 noise level is held
+        import dataclasses
+        cfg = dataclasses.replace(config, noise_sd=2.0)
+        spec = scenario("case3-B", n=5000, coefficients=cfg)
+        assert spec.noise_sd == 2.0
+        data = generate(spec, RngStream(72, 0))
+        x, t, y = data.sample.covariates, data.sample.treatment, data.sample.outcome
+        resid = y - (cfg.outcome_intercept + x @ cfg.outcome_coefficients - 0.4 * t)
+        assert resid.std() == pytest.approx(2.0, rel=0.05)
+
     def test_zero_coefficients_give_half_ps(self, config):
         import dataclasses
         cfg = dataclasses.replace(config, scenarios={"A": [("const", 0.0)]})
