@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,7 +84,7 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
         raise ParseError(
             f"row {row}, column '{column}': cannot parse {raw!r} as a number"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"row {row}, column '{column}': non-finite value {raw!r}")
     return value
 
@@ -116,11 +117,11 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
                 raise SchemaError(f"missing column '{name}' in {path}")
             positions[name] = header.index(name)
 
+        needed = max(positions.values())
         t_rows, y_rows, x_rows = [], [], []
         for i, row in enumerate(reader, start=1):
             if not row:
                 continue
-            needed = max(positions.values())
             if len(row) <= needed:
                 raise ParseError(f"row {i}: expected {needed + 1} fields, got {len(row)}")
             t_val = _parse_cell(row[positions[treatment]], i, treatment)

@@ -182,8 +182,8 @@ def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-# Query rows per filter block keep a block at or under this many
-# (query, donor) entries: 2 MiB per float64 array.
+# Candidate blocks hold at most max(this, d) (query, donor) entries: 2 MiB
+# per float64 array.
 _BLOCK_ENTRIES = 1 << 18
 # Floating-point error allowed per score dimension, about 4500 unit roundoffs.
 _ROUNDING = 1e-12
@@ -197,10 +197,21 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     treated subject; "for-control" is the reverse.
 
     Donors are ranked by the squared distance that _squared_distances
-    defines, ties going to the smaller donor index. A whitened matrix
-    product bounds every distance; only the pairs that bound cannot rule out
-    are evaluated in that canonical form. Time is O(q d k) for q queries,
-    d donors and k score columns. Working memory is
+    defines, ties going to the smaller donor index. A candidate generator
+    picks, per block of queries, a set of (query, donor) pairs that holds
+    each query's canonical first m; only those pairs are evaluated in the
+    canonical form and re-ranked. The generator follows the number of score
+    columns k:
+
+    - k >= 2: a whitened matrix product bounds every distance and drops the
+      pairs that bound rules out. Time is O(q d k) for q queries and d
+      donors.
+    - k = 1: the donors are sorted once, and each query reads the m donors
+      on either side of its sorted position, plus any further donors tied
+      with the m-th of those. Time is O(d log d + q (m + log d)) when
+      distinct scores rarely tie in distance.
+
+    Each block holds at most max(2^18, d) pairs, so working memory is
     O((max(2^18, d) + q + d) k) floats, whatever q and d are.
 
     Raises:
@@ -244,6 +255,33 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
             f"{donors.size} donors available, {n_matches} matches requested"
         )
 
+    zq, zd = z[queries], z[donors]
+    if z.shape[1] == 1:
+        blocks = _window_candidates(zq[:, 0], zd[:, 0], inv[0, 0], n_matches)
+    else:
+        blocks = _filter_candidates(zq, zd, w, n_matches)
+    picked = np.empty((queries.size, n_matches), dtype=np.int64)
+    d2_picked = np.empty((queries.size, n_matches))
+    for lo, hi, row, col in blocks:
+        d2 = _squared_distances(zq[lo + row] - zd[col], inv)
+        # row is ascending, so each row's run starts where it did before sorting
+        order = np.lexsort((col, d2, row))
+        counts = np.bincount(row, minlength=hi - lo)
+        first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n_matches)]
+        picked[lo:hi] = donors[col[first]]
+        d2_picked[lo:hi] = d2[first]
+    return MatchedSet(
+        query_indices=queries,
+        donor_indices=picked,
+        distances=np.sqrt(d2_picked),
+        direction=direction,
+    )
+
+
+def _filter_candidates(zq, zd, w, n_matches):
+    """Yield (lo, hi, row, col) blocks: rows lo + row of zq paired with the
+    donors zd[col], row ascending, holding every pair that a whitened bound
+    cannot rule out of a query's canonical first n_matches."""
     # Filter bound. Let inv be the computed W W' that the canonical value D
     # reads, c the donor mean, e = z - c, w = e W, diff = z_a - z_b,
     # S = |e_a|^2 + |e_b|^2 (so |diff|^2 <= 2S), L = |W|_F^2 (at least the
@@ -261,24 +299,21 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     # first m, ties included, has approx - tol <= T and is kept: the re-rank
     # sees the exact order. |w_a|^2 is common to a row, so the filter drops
     # it from both sides of that test.
-    zq, zd = z[queries], z[donors]
     centre = zd.mean(axis=0)
     eq, ed = zq - centre, zd - centre
     wq, wd = eq @ w, ed @ w
     nd = np.einsum("ij,ij->i", wd, wd)
-    per_w = _ROUNDING * (z.shape[1] + 1)
+    per_w = _ROUNDING * (zq.shape[1] + 1)
     per_e = per_w * np.einsum("ij,ij->", w, w)
     tol_q = per_w * np.einsum("ij,ij->i", wq, wq) + per_e * np.einsum("ij,ij->i", eq, eq)
     tol_d = per_w * nd + per_e * np.einsum("ij,ij->i", ed, ed)
     upper_d, lower_d = nd + tol_d, nd - tol_d
-    # np.dot, unlike matmul, goes to BLAS for k = 1 as well
     wq, wd = -2.0 * wq, np.ascontiguousarray(wd.T)
 
-    picked = np.empty((queries.size, n_matches), dtype=np.int64)
-    d2_picked = np.empty((queries.size, n_matches))
-    step = max(1, _BLOCK_ENTRIES // donors.size)
-    for lo in range(0, queries.size, step):
-        hi = min(lo + step, queries.size)
+    n_donors = zd.shape[0]
+    step = max(1, _BLOCK_ENTRIES // n_donors)
+    for lo in range(0, zq.shape[0], step):
+        hi = min(lo + step, zq.shape[0])
         cross = np.dot(wq[lo:hi], wd)                  # -2 w_a.w_b
         upper = cross + upper_d
         cut = (upper.min(axis=1) if n_matches == 1   # a row-wise partition is slower
@@ -286,21 +321,72 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         cut += 2.0 * tol_q[lo:hi]
         cross += lower_d
         # "not above" rather than "at most": a NaN from overflow keeps the pair
-        row, col = divmod(np.flatnonzero(~(cross > cut[:, None])), donors.size)
+        row, col = divmod(np.flatnonzero(~(cross > cut[:, None])), n_donors)
+        yield lo, hi, row, col
 
-        d2 = _squared_distances(zq[lo + row] - zd[col], inv)
-        # row is ascending, so each row's run starts where it did before sorting
-        order = np.lexsort((col, d2, row))
-        counts = np.bincount(row, minlength=hi - lo)
-        first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n_matches)]
-        picked[lo:hi] = donors[col[first]]
-        d2_picked[lo:hi] = d2[first]
-    return MatchedSet(
-        query_indices=queries,
-        donor_indices=picked,
-        distances=np.sqrt(d2_picked),
-        direction=direction,
-    )
+
+def _window_candidates(xq, xd, c, n_matches):
+    """Yield (lo, hi, row, col) blocks like _filter_candidates for one score
+    column: xq and xd are the query and donor scores, c the 1 x 1 inverse
+    covariance."""
+    # The canonical d2 of a pair is fl(fl(diff c) diff) with diff = fl(x_a - x_b).
+    # Rounding is monotone and symmetric in sign, so among the donors below a
+    # query, and among those at or above it, d2 never falls with distance
+    # in sorted order. Donors with equal scores tie for every query, and only
+    # the first m of such a run (the smallest indices) can be picked.
+    m = n_matches
+    order = np.argsort(xd, kind="stable")
+    xs = xd[order]
+    keep = np.r_[np.ones(m, dtype=bool), xs[m:] != xs[:-m]]
+    order, xs = order[keep], xs[keep]
+    size = xs.size                          # at least m
+
+    def d2(rows, pos):
+        diff = xq[rows] - xs[pos]
+        return diff * c * diff
+
+    def first_true(a, b, test):
+        # per row, the smallest i in [a, b) where test(i) holds, b if none;
+        # test must hold from some i on
+        while (a < b).any():
+            mid = (a + b) // 2
+            ok = test(np.minimum(mid, size - 1))
+            a, b = np.where(ok | (a == b), a, mid + 1), np.where(ok, mid, b)
+        return a
+
+    # Per query the m donors either side of its split hold every donor with
+    # d2 below T, the m-th smallest d2 among them; donors tied at T may run
+    # past them on either side and are found by bisection.
+    split = np.searchsorted(xs, xq, side="left")
+    start, stop = np.maximum(split - m, 0), np.minimum(split + m, size)
+    offsets = np.arange(-m, m)
+    step = max(1, max(_BLOCK_ENTRIES, size) // (2 * m))
+    for lo in range(0, xq.size, step):
+        rows = np.arange(lo, min(lo + step, xq.size))
+        pos = split[rows, None] + offsets
+        inside = (pos >= 0) & (pos < size)
+        window = np.where(inside, d2(rows[:, None], np.clip(pos, 0, size - 1)), np.inf)
+        cut = np.partition(window, m - 1, axis=1)[:, m - 1]
+        a, b = start[rows], stop[rows]
+        grow = (a > 0) & (d2(rows, np.maximum(a - 1, 0)) <= cut)
+        start[rows] = first_true(np.where(grow, 0, a), np.where(grow, a - 1, a),
+                                 lambda i: d2(rows, i) <= cut)
+        grow = (b < size) & (d2(rows, np.minimum(b, size - 1)) <= cut)
+        stop[rows] = first_true(np.where(grow, b + 1, b), np.where(grow, size, b),
+                                lambda i: d2(rows, i) > cut)
+
+    # Blocks of whole queries with at most max(2^18, d) candidates each; one
+    # query has at most d. Candidate f of the flat list sits at sorted
+    # position f + shift of its query.
+    ends = np.cumsum(stop - start)
+    shift = stop - ends
+    lo = 0
+    while lo < xq.size:
+        base = ends[lo - 1] if lo else 0
+        hi = int(np.searchsorted(ends, base + max(_BLOCK_ENTRIES, size), side="right"))
+        row = np.repeat(np.arange(hi - lo), stop[lo:hi] - start[lo:hi])
+        yield lo, hi, row, order[np.arange(base, ends[hi - 1]) + shift[lo:hi][row]]
+        lo = hi
 
 
 def impute(sample: ObservationalSample, matched: MatchedSet) -> np.ndarray:

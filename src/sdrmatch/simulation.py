@@ -501,9 +501,14 @@ def run_monte_carlo(spec: ScenarioSpec, reps: int, seed: int = 0,
     per method, not fatal. The report is fully determined by
     (spec, reps, seed, n_matches, n_slices, alpha, estimand) -- the thread
     count only changes scheduling.
+
+    Raises:
+        InvalidArgument: reps < 2 or threads < 1.
     """
     if reps < 2:
         raise InvalidArgument(f"need at least 2 replicates, got {reps}")
+    if threads < 1:
+        raise InvalidArgument(f"threads must be >= 1, got {threads}")
     truth, source = true_effect(spec, estimand, seed)
 
     def work(rep: int) -> dict:

@@ -52,6 +52,33 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 2, column 'Y'"):
             load_csv(f, "T", "Y", ["x1"])
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", ["Y", "x2"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
+        f = tmp_path / "d.csv"
+        rows = {"Y": f"1,{cell},3,4", "x2": f"1,2,3,{cell}"}
+        write_lines(f, ["T,Y,x1,x2", "0,1,2,3", rows[column]])
+        with pytest.raises(ParseError,
+                           match=rf"^row 2, column '{column}': non-finite value '{cell}'$"):
+            load_csv(f, "T", "Y", ["x1", "x2"])
+
+    def test_short_row_names_expected_field_count(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["T,Y,x1,x2", "0,1,2,3", "1,2,3"])
+        with pytest.raises(ParseError, match=r"^row 2: expected 4 fields, got 3$"):
+            load_csv(f, "T", "Y", ["x1", "x2"])
+
+    def test_blank_line_is_skipped_but_counted(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["T,Y,x1", "0,1,2", "", "1,2.5,3"])
+        sample = load_csv(f, "T", "Y", ["x1"])
+        assert sample.treatment.tolist() == [0, 1]
+        assert sample.outcome.tolist() == [1.0, 2.5]
+        assert sample.covariates.tolist() == [[2.0], [3.0]]
+        write_lines(f, ["T,Y,x1", "0,1,2", "", "1,2.5,x"])
+        with pytest.raises(ParseError, match=r"^row 3, column 'x1'"):
+            load_csv(f, "T", "Y", ["x1"])
+
     def test_write_then_reload_is_bit_identical(self, tmp_path):
         f = tmp_path / "orig.csv"
         write_lines(f, [

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sdrmatch.dataset import ObservationalSample
 from sdrmatch import matching
@@ -221,11 +222,78 @@ class TestExactness:
 
     def test_donors_equal_matches(self):
         rng = RngStream(62)
+        for k in (3, 1):
+            for m in range(1, 6):
+                z = np.floor(rng.uniform((m + 12, k)) * 3.0)
+                t = np.ones(m + 12, dtype=int)
+                t[-m:] = 0
+                self.check(z, t, m, FOR_TREATED)
+                self.check(z, 1 - t, m, FOR_CONTROL)
+
+    @staticmethod
+    def draw_column(rng, kind, n):
+        if kind == "integer":
+            return np.floor(rng.uniform(n) * 4.0)
+        if kind == "midway":
+            # half-integers: many queries sit exactly midway between two donors
+            return np.floor(rng.uniform(n) * 6.0) / 2.0
+        if kind == "all-equal":
+            return np.full(n, 2.5)
+        if kind == "long-runs":
+            # three values, so equal runs are longer than m
+            return np.array([0.5, 1.5, -2.0])[np.floor(rng.uniform(n) * 3.0).astype(int)]
+        if kind == "far":
+            # near 2^55 the spacing is 8, so x - s rounds alike for several
+            # distinct small s: distinct scores tie in distance past the m
+            # nearest in sorted order
+            z = np.floor(rng.uniform(n) * 8.0)
+            z[::4] = 2.0 ** 55 + 8.0 * np.floor(rng.uniform(z[::4].size) * 3.0)
+            return z
+        z = rng.normal(n)
+        scale = {"offset": 1.0, "tiny": 1e-8, "large": 1e8, "near-1e150": 1e150}[kind]
+        return z * scale + (1e6 if kind == "offset" else 0.0)
+
+    @pytest.mark.parametrize("kind", ["integer", "midway", "all-equal", "long-runs", "far",
+                                      "offset", "tiny", "large", "near-1e150"])
+    def test_one_column(self, kind):
+        # one score column takes the sorted-window search, not the filter
+        rng = RngStream(68)
+        checked = 0
         for m in range(1, 6):
-            z = np.floor(rng.uniform((m + 12, 3)) * 3.0)
-            t = np.ones(m + 12, dtype=int)
-            t[-m:] = 0
-            self.check(z, t, m, FOR_TREATED)
+            for rep in range(6):
+                n = 2 * m + 10 + int(rng.uniform() * 40)
+                z = self.draw_column(rng, kind, n)[:, None]
+                t = (rng.uniform(n) < 0.5).astype(int)
+                if t.sum() < m or (1 - t).sum() < m:
+                    continue
+                for direction in (FOR_TREATED, FOR_CONTROL):
+                    self.check(z, t, m, direction)
+                checked += 1
+        assert checked >= 25
+
+    def test_one_query_per_block(self, monkeypatch):
+        # with a budget below d, each block holds as few queries as fit in d
+        # candidate pairs, so block edges fall everywhere
+        monkeypatch.setattr(matching, "_BLOCK_ENTRIES", 1)
+        rng = RngStream(70)
+        for k in (1, 3):
+            for m in range(1, 6):
+                z = np.floor(rng.uniform((40, k)) * 4.0)
+                t = (rng.uniform(40) < 0.5).astype(int)
+                for direction in (FOR_TREATED, FOR_CONTROL):
+                    self.check(z, t, m, direction)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 1.0, 3.0]),
+                              st.integers(0, 1)), min_size=2, max_size=40),
+           st.integers(1, 5))
+    def test_one_column_few_values_property(self, subjects, m):
+        z = np.array([[value] for value, _ in subjects])
+        t = np.array([label for _, label in subjects])
+        assume(min(t.sum(), (1 - t).sum()) >= m)
+        metric = MahalanobisMetric(np.eye(1))
+        for direction in (FOR_TREATED, FOR_CONTROL):
+            self.check(z, t, m, direction, metric)
 
     def test_single_query(self):
         rng = RngStream(63)
@@ -279,21 +347,34 @@ class TestExactness:
             for direction in (FOR_TREATED, FOR_CONTROL):
                 self.check(z, t, 2, direction, MahalanobisMetric(w))
 
+    @staticmethod
+    def traced_peak(z, t, m):
+        metric = build_metric(z)
+        tracemalloc.start()
+        try:
+            matched = find_matches(z, t, metric, m, FOR_TREATED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matched.donor_indices.shape == (int(t.sum()), m)
+        return peak
+
     def test_memory_stays_bounded_at_large_n(self):
         # the full (n/2)^2 * p difference tensor would need about 8 GB here
         rng = RngStream(64)
         n, p = 20_000, 10
         z = rng.normal((n, p))
         t = (rng.uniform(n) < 0.5).astype(int)
-        metric = build_metric(z)
-        tracemalloc.start()
-        try:
-            matched = find_matches(z, t, metric, 1, FOR_TREATED)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
-        assert matched.donor_indices.shape == (int(t.sum()), 1)
+        assert self.traced_peak(z, t, 1) < 64 * 2**20
+
+    @pytest.mark.parametrize("equal", [False, True])
+    def test_memory_stays_bounded_one_column(self, equal):
+        # with all scores equal, every donor ties with every other for every query
+        rng = RngStream(69)
+        n = 20_000
+        z = np.ones((n, 1)) if equal else rng.normal((n, 1))
+        t = (rng.uniform(n) < 0.5).astype(int)
+        assert self.traced_peak(z, t, 5) < 32 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, bad):

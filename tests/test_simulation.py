@@ -232,6 +232,12 @@ class TestMonteCarloHarness:
         with pytest.raises(InvalidArgument):
             run_monte_carlo(scenario("case1-I"), 1)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_minimum(self, threads):
+        with pytest.raises(InvalidArgument, match=rf"^threads must be >= 1, got {threads}$"):
+            run_monte_carlo(scenario("case1-I", n=200, methods=("ambient",)), 2,
+                            threads=threads)
+
     def test_report_identity(self):
         spec = scenario("case1-II", n=200, methods=("ambient",))
         report = run_monte_carlo(spec, 12, seed=5)
