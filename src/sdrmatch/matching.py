@@ -328,8 +328,9 @@ def _filter_candidates(zq, zd, w, n_matches):
 def _window_candidates(xq, xd, c, n_matches):
     """Yield (lo, hi, row, col) blocks like _filter_candidates for one score
     column: xq and xd are the query and donor scores, c the 1 x 1 inverse
-    covariance."""
-    # The canonical d2 of a pair is fl(fl(diff c) diff) with diff = fl(x_a - x_b).
+    covariance's entry."""
+    # The canonical d2 of a pair is fl(fl(diff c) diff) with diff = fl(x_a - x_b),
+    # which d2() below gives up to the sign of a zero.
     # Rounding is monotone and symmetric in sign, so among the donors below a
     # query, and among those at or above it, d2 never falls with distance
     # in sorted order. Donors with equal scores tie for every query, and only
