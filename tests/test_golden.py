@@ -6,8 +6,9 @@ files under ``tests/golden/``. The ``match_distance_quantiles`` lines print
 ``repr(float)``, so the goldens also pin the match-distance bits.
 
 Regenerate after an intended output change with
-``PYTHONPATH=src python tests/test_golden.py`` and record the numerical reason
-in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py [CASE ...]``, which rewrites the
+named cases, or every case when none is named, and record the numerical reason
+in CHANGES.md. An unknown case name exits 2 and writes nothing.
 """
 
 import contextlib
@@ -93,10 +94,37 @@ def test_golden_bytes(name, tmp_path):
         assert produced == expected, f"{file_name} differs from its golden copy"
 
 
-if __name__ == "__main__":
+def test_regenerate_writes_only_named_cases(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    assert regenerate(["diagnose-bins20"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["diagnose-bins20.stdout"]
+    assert ((tmp_path / "diagnose-bins20.stdout").read_bytes()
+            == (REPO / "tests" / "golden" / "diagnose-bins20.stdout").read_bytes())
+
+
+def test_regenerate_rejects_unknown_case(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    assert regenerate(["diagnose-bins20", "no-such-case"]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "error: unknown case(s): no-such-case" in capsys.readouterr().err
+
+
+def regenerate(names) -> int:
+    """Rewrite the golden files of the named cases (all when none); 2 on an
+    unknown name."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        print(f"error: unknown case(s): {', '.join(unknown)}; known: "
+              f"{', '.join(sorted(CASES))}", file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for case in sorted(CASES):
+        for case in sorted(set(names) or CASES):
             for file_name, data in run_case(case, workdir).items():
                 (GOLDEN / file_name).write_bytes(data)
                 print(f"wrote {file_name} ({len(data)} bytes)", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(regenerate(sys.argv[1:]))
