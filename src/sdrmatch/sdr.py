@@ -116,8 +116,15 @@ def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> Slic
 
 
 def candidate_matrix(sliced: SlicedMoments) -> np.ndarray:
-    """Equal-weight second moment of the slice means: sum_j mu_j mu_j' / H."""
-    m = sliced.slice_means.T @ sliced.slice_means / sliced.slice_count
+    """Slice-size-weighted second moment of the slice means:
+    sum_j (n_j / n) mu_j mu_j'.
+
+    These are the weights under which n times the trailing eigenvalues is
+    asymptotically chi-square (Li 1991, JASA 86:316), so the rank test holds
+    its size when outcome ties leave the slices of unequal size.
+    """
+    weights = sliced.slice_sizes / sliced.slice_sizes.sum()
+    m = (sliced.slice_means.T * weights) @ sliced.slice_means
     return 0.5 * (m + m.T)
 
 

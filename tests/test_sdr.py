@@ -87,6 +87,16 @@ class TestCandidateMatrix:
         )
         assert np.allclose(candidate_matrix(sliced), np.diag([1.0, 0.0]))
 
+    def test_slices_weighted_by_size(self):
+        sliced = SlicedMoments(
+            slice_count=2,
+            boundaries=np.array([0.0, 1.0]),
+            slice_means=np.array([[2.0], [-0.5]]),
+            slice_sizes=np.array([2, 8]),
+        )
+        # 0.2 * 2^2 + 0.8 * 0.5^2; equal weights would give 2.125
+        assert np.allclose(candidate_matrix(sliced), [[1.0]])
+
     def test_single_index_recovery(self):
         rng = RngStream(33)
         n, p = 2000, 5
@@ -124,6 +134,30 @@ class TestSequentialRankTest:
         lam = np.full(10, 5.0)
         rank, _ = sequential_rank_test(lam, 1000, 10, 5, 0.05)
         assert rank == min(10, 5 - 1)
+
+
+class TestRankTestSize:
+    """Under y independent of X the rank test rejects rank 0 at about alpha."""
+
+    @staticmethod
+    def rejection_rate(tied_share, reps=1000, n=250, p=10, alpha=0.05):
+        rejections = 0
+        for rep in range(reps):
+            rng = RngStream(2024, rep)
+            x = rng.normal((n, p))
+            y = rng.normal(n)
+            y = np.where(rng.uniform(n) < tied_share, 0.0, y)
+            sample = make_sample(x, np.zeros(n, dtype=int), y)
+            est = estimate_central_subspace(sample, 0, n_slices=5, alpha=alpha)
+            rejections += est.test_pvalues[0] <= alpha
+        return rejections / reps
+
+    def test_size_with_tied_outcomes(self):
+        # 30% of outcomes tied at zero leave the slices of unequal size
+        assert 0.02 <= self.rejection_rate(0.3) <= 0.08
+
+    def test_size_with_continuous_outcomes(self):
+        assert 0.02 <= self.rejection_rate(0.0) <= 0.08
 
 
 class TestEstimateCentralSubspace:
