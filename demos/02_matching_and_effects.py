@@ -54,5 +54,7 @@ for name, e in (("ambient covariates", ambient), ("true propensity", ps_true),
     print(f"{name:<24}{e.value:>10.4f}")
 print(f"reduced-covariate ranks: control={reduced.diagnostics['rank_control']}, "
       f"treated={reduced.diagnostics['rank_treated']}")
-reuse = reduced.diagnostics["reuse_counts"]
+# each matched set lists its donors; count how often each subject was reused
+donors = np.concatenate([mset.donor_indices.ravel() for mset in reduced.matches])
+reuse = np.bincount(donors, minlength=data.sample.n_subjects)
 print(f"donor reuse: total={reuse.sum()}, max for one subject={reuse.max()}")

@@ -42,6 +42,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _five_number(values: np.ndarray):
+    return np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
 def _add_data_flags(parser):
     parser.add_argument("--input", required=True, help="input CSV path")
     parser.add_argument("--treatment", required=True, help="0/1 treatment column")
@@ -119,11 +123,11 @@ def cmd_estimate(args) -> int:
     sample = _load_sample(args)
     score = _balancing_score(args.method, sample, args, args.estimand)
     result = matching.estimate(sample, score, args.estimand, args.m)
-    diagnostics = result.diagnostics
     rank_control, rank_treated = (
-        "-" if diagnostics.get(key) is None else diagnostics[key]
+        "-" if score.diagnostics.get(key) is None else score.diagnostics[key]
         for key in ("rank_control", "rank_treated")
     )
+    n_treated = result.matches[0].query_indices.size
 
     lines = [
         f"estimand {args.estimand}",
@@ -132,12 +136,12 @@ def cmd_estimate(args) -> int:
         f"rank_control {rank_control}",
         f"rank_treated {rank_treated}",
         f"n {sample.n_subjects}",
-        f"treated {diagnostics['n_treated']}",
-        f"control {diagnostics['n_control']}",
+        f"treated {n_treated}",
+        f"control {sample.n_subjects - n_treated}",
     ]
-    for direction, qs in sorted(diagnostics["match_distance_quantiles"].items()):
-        pretty = " ".join(_fmt(q) for q in qs)
-        lines.append(f"match_distance_quantiles {direction} {pretty}")
+    for mset in sorted(result.matches, key=lambda mset: mset.direction):
+        pretty = " ".join(_fmt(float(q)) for q in _five_number(mset.distances))
+        lines.append(f"match_distance_quantiles {mset.direction} {pretty}")
     print("\n".join(lines))
 
     if args.output:
@@ -251,10 +255,6 @@ def cmd_simulate(args) -> int:
 # =============================================================================
 # diagnose
 # =============================================================================
-
-def _five_number(values: np.ndarray):
-    return np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
-
 
 def _histogram_rows(name: str, values: np.ndarray, treatment: np.ndarray,
                     bins: int) -> list[str]:

@@ -42,8 +42,8 @@ class BalancingScore:
     Y(0) for treated subjects); into_treated feeds the reverse direction. For
     ambient and propensity scores the two are the same matrix; per-group
     reduced covariates differ by construction. diagnostics records how the
-    score was fitted (SIR ranks and fallbacks, logistic convergence) and is
-    carried into the estimate's diagnostics.
+    score was fitted (SIR ranks and fallbacks, logistic convergence); the
+    estimate carries a copy of it.
     """
 
     into_control: np.ndarray
@@ -144,9 +144,14 @@ class MatchedSet:
 
 @dataclass(frozen=True)
 class CausalEstimate:
+    """An effect estimate and the matched sets it imputed from: for-treated
+    first, then for-control for the ACE. diagnostics copies the balancing
+    score's fit diagnostics."""
+
     estimand: str
     value: float
     imputed: np.ndarray           # per-subject imputed Y(1-T); NaN where not required
+    matches: tuple[MatchedSet, ...]
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -395,16 +400,6 @@ def impute(sample: ObservationalSample, matched: MatchedSet) -> np.ndarray:
     return sample.outcome[matched.donor_indices].mean(axis=1)
 
 
-def _match_diagnostics(matched_sets, n_subjects: int) -> dict:
-    quantiles = {}
-    counts = np.zeros(n_subjects, dtype=np.int64)
-    for mset in matched_sets:
-        qs = np.quantile(mset.distances, [0.0, 0.25, 0.5, 0.75, 1.0])
-        quantiles[mset.direction] = tuple(float(v) for v in qs)
-        counts += np.bincount(mset.donor_indices.ravel(), minlength=n_subjects)
-    return {"match_distance_quantiles": quantiles, "reuse_counts": counts}
-
-
 def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str = "ace",
              n_matches: int = 1) -> CausalEstimate:
     """Matching estimate of the average causal effect ("ace") or of the
@@ -414,8 +409,7 @@ def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str =
     the into_control score. For the ACE it also imputes Y(1) for every control
     from its treated-group matches on the into_treated score and averages the
     completed contrasts over all n subjects; the ACET averages them over the
-    treated only, and controls' imputations stay NaN. The score's own
-    diagnostics are merged into the estimate's.
+    treated only, and controls' imputations stay NaN.
 
     Raises:
         InvalidArgument: unknown estimand, or an ACE without an into_treated
@@ -442,11 +436,4 @@ def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str =
         value = float(((2 * t - 1) * (y - imputed)).mean())
     else:
         value = float((y[treated] - imputed[treated]).mean())
-
-    diagnostics = _match_diagnostics(matched, sample.n_subjects)
-    diagnostics.update(
-        n_treated=int(treated.size),
-        n_control=int(sample.n_subjects - treated.size),
-        **score.diagnostics,
-    )
-    return CausalEstimate(estimand, value, imputed, diagnostics)
+    return CausalEstimate(estimand, value, imputed, tuple(matched), dict(score.diagnostics))

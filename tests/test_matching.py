@@ -488,7 +488,29 @@ class TestEstimators:
         sample = ObservationalSample(x, t, y)
         m = 2
         est = estimate(sample, BalancingScore.ambient(x), "ace", m)
-        assert est.diagnostics["reuse_counts"].sum() == m * n
+        donors = np.concatenate([mset.donor_indices.ravel() for mset in est.matches])
+        reuse = np.bincount(donors, minlength=n)
+        assert reuse.sum() == m * n
+
+    def test_estimate_returns_its_matched_sets(self):
+        rng = RngStream(64)
+        n = 50
+        x = rng.normal((n, 2))
+        t = (rng.uniform(n) < 0.5).astype(int)
+        sample = ObservationalSample(x, t, rng.normal(n))
+        score = BalancingScore.ambient(x)
+        metric = build_metric(x)
+        ace = estimate(sample, score, "ace", 2)
+        assert [mset.direction for mset in ace.matches] == [FOR_TREATED, FOR_CONTROL]
+        for mset in ace.matches:
+            ref = find_matches(x, t, metric, 2, mset.direction)
+            assert np.array_equal(mset.query_indices, ref.query_indices)
+            assert np.array_equal(mset.donor_indices, ref.donor_indices)
+            assert np.array_equal(mset.distances, ref.distances)
+            assert np.array_equal(ace.imputed[mset.query_indices], impute(sample, mset))
+        acet = estimate(sample, score, "acet", 2)
+        assert [mset.direction for mset in acet.matches] == [FOR_TREATED]
+        assert np.array_equal(acet.matches[0].query_indices, np.flatnonzero(t == 1))
 
 
 class TestPipelineAndInvariants:
@@ -595,7 +617,8 @@ class TestBalancingScoreRegistry:
         score = balancing_score("ps-logistic", data.sample, estimand="acet",
                                 n_slices=5, alpha=0.05)
         est = estimate(data.sample, score, "acet")
-        assert est.diagnostics["logistic_converged"] is True
+        assert est.diagnostics == score.diagnostics == {"logistic_converged": True}
+        assert est.diagnostics is not score.diagnostics
 
     def test_ace_builds_one_metric_for_a_shared_score(self, monkeypatch):
         calls = []
