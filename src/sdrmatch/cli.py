@@ -58,7 +58,7 @@ def _add_tuning_flags(parser):
     parser.add_argument("--m", type=int, default=1, help="matches per subject")
     parser.add_argument("--slices", type=int, default=5, help="outcome slices for SIR")
     parser.add_argument("--alpha", type=float, default=0.05,
-                        help="rank-test significance level")
+                        help="rank-test significance level, in (0, 1)")
 
 
 def build_parser() -> _Parser:

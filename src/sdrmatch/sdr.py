@@ -139,7 +139,12 @@ def sequential_rank_test(eigenvalues, n_obs: int, p: int, n_slices: int,
 
     Returns:
         (selected_rank, p-values for d = 0, 1, ..., cap - 1)
+
+    Raises:
+        InvalidArgument: alpha outside (0, 1), NaN included.
     """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
     lam = np.asarray(eigenvalues, dtype=float)
     cap = min(p, n_slices - 1)
     pvalues = np.empty(cap)

@@ -302,6 +302,31 @@ class TestErrorFormat:
         assert captured.out == ""
         assert captured.err == f"error: --threads must be >= 1, got {threads}\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--m", "0"], "n_matches must be >= 1, got 0"),
+        (["--slices", "1"], "need at least 2 slices, got 1"),
+        (["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+        (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
+    ])
+    def test_simulate_argument_errors_exit_two(self, flags, message, capsys):
+        # rejected before any replicate runs, not counted as replicate failures
+        code = main(["simulate", "--scenario", "case1-I", "--n", "200", "--reps", "2",
+                     "--methods", "ambient,sdr", "--threads", "1", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("alpha", ["nan", "1.5"])
+    def test_estimate_alpha_outside_unit_interval_exits_two(self, alpha, capsys):
+        code = main(["estimate", "--input", str(LALONDE), "--treatment", "treat",
+                     "--outcome", "re78", "--covariates", LALONDE_COVARIATES,
+                     "--method", "sdr", "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: alpha must be in (0, 1), got {alpha}\n"
+
     def test_missing_file(self, capsys):
         code = main([
             "estimate", "--input", "/nonexistent.csv", "--treatment", "T",

@@ -130,6 +130,11 @@ class TestSequentialRankTest:
         assert rank == 1
         assert pvalues[0] < 0.05 < pvalues[1]
 
+    @pytest.mark.parametrize("alpha", [float("nan"), 1.5, -1.0, 0.0, 1.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(InvalidArgument, match=r"^alpha must be in \(0, 1\)"):
+            sequential_rank_test(np.zeros(6), 100, 6, 5, alpha)
+
     def test_cap_when_everything_significant(self):
         lam = np.full(10, 5.0)
         rank, _ = sequential_rank_test(lam, 1000, 10, 5, 0.05)
