@@ -304,19 +304,39 @@ def _filter_candidates(zq, zd, w, n_matches):
     # first m, ties included, has approx - tol <= T and is kept: the re-rank
     # sees the exact order. |w_a|^2 is common to a row, so the filter drops
     # it from both sides of that test.
+    #
+    # Range. Every value the filter forms, and every term and partial sum
+    # of D, is at most about 4 k^2 L max|e|^2, so when (k+1)^2 L max|e|^2 is
+    # below 2^1000 nothing overflows; above it, every pair goes to the
+    # re-rank. Underflow adds at most 2^-1075 to a product, which later
+    # products scale by up to |diff|^2 <= 4 max|e|^2 (D, through inv) or
+    # max|w| (the filter). The floor (k+1)^3 2^-1070 (1 + max|e| + max|w|)^2,
+    # added to each tol_x, covers these, so the bound still holds where tol
+    # itself underflows.
+    k, n_donors = zq.shape[1], zd.shape[0]
     centre = zd.mean(axis=0)
     eq, ed = zq - centre, zd - centre
+    eq2, ed2 = np.einsum("ij,ij->i", eq, eq), np.einsum("ij,ij->i", ed, ed)
+    big_l = np.einsum("ij,ij->", w, w)
+    e2_max = max(eq2.max(), ed2.max())
+    step = max(1, _BLOCK_ENTRIES // n_donors)
+    if not (k + 1) ** 2 * big_l * e2_max < 2.0 ** 1000:
+        for lo in range(0, zq.shape[0], step):
+            hi = min(lo + step, zq.shape[0])
+            row, col = divmod(np.arange((hi - lo) * n_donors), n_donors)
+            yield lo, hi, row, col
+        return
     wq, wd = eq @ w, ed @ w
-    nd = np.einsum("ij,ij->i", wd, wd)
-    per_w = _ROUNDING * (zq.shape[1] + 1)
-    per_e = per_w * np.einsum("ij,ij->", w, w)
-    tol_q = per_w * np.einsum("ij,ij->i", wq, wq) + per_e * np.einsum("ij,ij->i", eq, eq)
-    tol_d = per_w * nd + per_e * np.einsum("ij,ij->i", ed, ed)
+    wq2, nd = np.einsum("ij,ij->i", wq, wq), np.einsum("ij,ij->i", wd, wd)
+    floor = (k + 1) ** 3 * (
+        2.0 ** -535 * (1.0 + np.sqrt(e2_max) + np.sqrt(max(wq2.max(), nd.max())))) ** 2
+    per_w = _ROUNDING * (k + 1)
+    per_e = per_w * big_l
+    tol_q = per_w * wq2 + per_e * eq2 + floor
+    tol_d = per_w * nd + per_e * ed2 + floor
     upper_d, lower_d = nd + tol_d, nd - tol_d
     wq, wd = -2.0 * wq, np.ascontiguousarray(wd.T)
 
-    n_donors = zd.shape[0]
-    step = max(1, _BLOCK_ENTRIES // n_donors)
     for lo in range(0, zq.shape[0], step):
         hi = min(lo + step, zq.shape[0])
         cross = np.dot(wq[lo:hi], wd)                  # -2 w_a.w_b
@@ -325,8 +345,7 @@ def _filter_candidates(zq, zd, w, n_matches):
                else np.partition(upper, n_matches - 1, axis=1)[:, n_matches - 1])
         cut += 2.0 * tol_q[lo:hi]
         cross += lower_d
-        # "not above" rather than "at most": a NaN from overflow keeps the pair
-        row, col = divmod(np.flatnonzero(~(cross > cut[:, None])), n_donors)
+        row, col = divmod(np.flatnonzero(cross <= cut[:, None]), n_donors)
         yield lo, hi, row, col
 
 

@@ -347,6 +347,32 @@ class TestExactness:
             for direction in (FOR_TREATED, FOR_CONTROL):
                 self.check(z, t, 2, direction, MahalanobisMetric(w))
 
+    def test_huge_scores_whitened_norms_overflow(self):
+        # |e W|^2 overflows near 1e308 while many canonical d^2 stay finite
+        rng = RngStream(71)
+        for rep in range(40):
+            k = 2 + rep % 2
+            sign = np.where(rng.uniform((30, k)) < 0.5, -1.0, 1.0)
+            z = sign * 10.0 ** (150.0 + 5.0 * rng.uniform((30, k)))
+            t = (rng.uniform(30) < 0.5).astype(int)
+            metric = MahalanobisMetric((1.0 + 99.0 * rng.uniform()) * np.eye(k))
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                with np.errstate(over="ignore"):
+                    self.check(z, t, 1 + rep % 3, direction, metric)
+
+    def test_tiny_scores_tolerance_underflows(self):
+        # d^2 near or below the smallest normal float: the relative
+        # tolerance underflows to 0, and canonical values tie at 0 or a few
+        # subnormal steps
+        rng = RngStream(72)
+        for rep in range(40):
+            k = 2 + rep % 2
+            z = rng.normal((30, k)) * 10.0 ** (-5.0 + 10.0 * rng.uniform())
+            t = (rng.uniform(30) < 0.5).astype(int)
+            metric = MahalanobisMetric(10.0 ** (-165.0 + 15.0 * rng.uniform()) * np.eye(k))
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                self.check(z, t, 1 + rep % 3, direction, metric)
+
     @staticmethod
     def traced_peak(z, t, m):
         metric = build_metric(z)
