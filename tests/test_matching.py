@@ -577,6 +577,51 @@ class TestPipelineAndInvariants:
         value_perm = estimate(shuffled, BalancingScore.ambient(x[perm]), "ace", 1).value
         assert value_perm == pytest.approx(value, abs=1e-12)
 
+    @staticmethod
+    def sdr_values(sample, estimands=("ace", "acet")):
+        return [estimate(sample, sdr_score(sample, e), e).value for e in estimands]
+
+    def test_sdr_affine_invariance(self):
+        # SIR standardizes within each group, so x -> x A + b only rotates the
+        # standardized covariates; the reduced scores, and so the matches, agree
+        for rep in range(8):
+            rng = RngStream(73, rep)
+            data = generate(scenario(("case1-II", "case1-III")[rep % 2], n=300), rng)
+            x, p = data.sample.covariates, data.sample.n_covariates
+            a = rng.normal((p, p)) + 3.0 * np.eye(p)
+            moved = ObservationalSample(x @ a + rng.normal(p) * 10.0,
+                                        data.sample.treatment, data.sample.outcome)
+            for base, value in zip(self.sdr_values(data.sample), self.sdr_values(moved)):
+                assert value == pytest.approx(base, rel=1e-9, abs=0.0)
+
+    def test_sdr_label_swap_negates_ace(self):
+        # swapping the labels swaps the two per-group reductions and the two
+        # matching directions, so every donor set is reused and the ACE
+        # negates exactly
+        for rep in range(8):
+            data = generate(scenario("case1-III", n=300), RngStream(74, rep))
+            sample = data.sample
+            swapped = ObservationalSample(sample.covariates, 1 - sample.treatment,
+                                          sample.outcome)
+            base = estimate(sample, sdr_score(sample, "ace"), "ace")
+            flip = estimate(swapped, sdr_score(swapped, "ace"), "ace")
+            assert flip.value == -base.value
+            for mine, theirs in zip(flip.matches, reversed(base.matches)):
+                assert np.array_equal(mine.query_indices, theirs.query_indices)
+                assert np.array_equal(mine.donor_indices, theirs.donor_indices)
+
+    def test_sdr_permutation_invariance(self):
+        # continuous outcomes and covariates: no ties in slicing or matching
+        for rep in range(8):
+            rng = RngStream(75, rep)
+            data = generate(scenario("case1-III", n=300), rng)
+            sample = data.sample
+            perm = np.argsort(rng.uniform(sample.n_subjects))
+            shuffled = ObservationalSample(sample.covariates[perm], sample.treatment[perm],
+                                           sample.outcome[perm])
+            for base, value in zip(self.sdr_values(sample), self.sdr_values(shuffled)):
+                assert value == pytest.approx(base, rel=1e-9, abs=0.0)
+
     def test_ace_decomposition_identity(self):
         rng = RngStream(58)
         n = 60
