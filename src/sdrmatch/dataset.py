@@ -92,6 +92,11 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
 def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> ObservationalSample:
     """Read an observational sample from a headered, comma-separated file.
 
+    The referenced columns are parsed in one vectorised pass. When that pass
+    fails, or yields a non-finite value or a treatment outside {0, 1}, the
+    file is read again row by row: that loop defines which input is valid,
+    names the bad cell, and also accepts what ``float`` reads but numpy does not.
+
     Args:
         path: CSV file with a header row; UTF-8, '.' decimal point.
         treatment: name of the 0/1 treatment column.
@@ -101,46 +106,69 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
     Raises:
         SchemaError: a named column is missing from the header.
         ParseError: a referenced cell is non-numeric, missing, or a treatment
-            value outside {0, 1}; the message names the row and column.
+            value outside {0, 1}; the message names the row and column. Also
+            raised, naming the file, for bytes that are not UTF-8 and for CSV
+            the csv module cannot read.
     """
-    covariates = list(covariates)
+    names = [treatment, outcome, *covariates]
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: file is empty, expected a header row") from None
+            header = [h.strip() for h in header]
+            for name in names:
+                if name not in header:
+                    raise SchemaError(f"missing column '{name}' in {path}")
+            columns = [header.index(name) for name in names]
+            lines = handle.readlines()
+        data = None
+        if any(map(str.strip, lines)):      # else loadtxt warns "no data"
+            try:
+                data = np.loadtxt(lines, dtype=float, delimiter=",", quotechar='"',
+                                  comments=None, usecols=columns, ndmin=2)
+            except ValueError:
+                pass
+        if data is None or not (np.isfinite(data).all() and np.isin(data[:, 0], (0.0, 1.0)).all()):
+            data = _parse_rows(path, names, columns)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return ObservationalSample(
+        covariates=np.ascontiguousarray(data[:, 2:]),
+        treatment=data[:, 0].astype(np.int64),
+        outcome=np.ascontiguousarray(data[:, 1]),
+        column_names=tuple(names[2:]),
+    )
+
+
+def _parse_rows(path, names: list[str], columns: list[int]) -> np.ndarray:
+    """Read the data rows one by one into columns (treatment, outcome, covariates).
+
+    Raises the ParseError that names the first bad row and column."""
+    needed = max(columns)
+    rows = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        header = [h.strip() for h in header]
-        positions = {}
-        for name in [treatment, outcome, *covariates]:
-            if name not in header:
-                raise SchemaError(f"missing column '{name}' in {path}")
-            positions[name] = header.index(name)
-
-        needed = max(positions.values())
-        t_rows, y_rows, x_rows = [], [], []
+        next(reader, None)
         for i, row in enumerate(reader, start=1):
             if not row:
                 continue
             if len(row) <= needed:
                 raise ParseError(f"row {i}: expected {needed + 1} fields, got {len(row)}")
-            t_val = _parse_cell(row[positions[treatment]], i, treatment)
+            t_val = _parse_cell(row[columns[0]], i, names[0])
             if t_val not in (0.0, 1.0):
                 raise ParseError(
-                    f"row {i}, column '{treatment}': treatment must be 0 or 1, got {t_val:g}"
+                    f"row {i}, column '{names[0]}': treatment must be 0 or 1, got {t_val:g}"
                 )
-            t_rows.append(int(t_val))
-            y_rows.append(_parse_cell(row[positions[outcome]], i, outcome))
-            x_rows.append([_parse_cell(row[positions[c]], i, c) for c in covariates])
-
-    if not t_rows:
+            rows.append([t_val, *(_parse_cell(row[j], i, name)
+                                  for name, j in zip(names[1:], columns[1:]))])
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    return ObservationalSample(
-        covariates=np.asarray(x_rows, dtype=float),
-        treatment=np.asarray(t_rows, dtype=np.int64),
-        outcome=np.asarray(y_rows, dtype=float),
-        column_names=tuple(covariates),
-    )
+    return np.asarray(rows, dtype=float)
 
 
 def write_csv(sample: ObservationalSample, path, treatment: str = "treatment",

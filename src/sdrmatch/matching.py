@@ -222,8 +222,8 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     Raises:
         InvalidArgument: unknown direction, n_matches < 1, scores and
             treatment of different lengths, a whitening map that is not
-            k x k, no subjects to match, or NaN/inf in the scores or the
-            metric.
+            k x k, no subjects to match, NaN/inf in the scores or the
+            metric, or a picked squared distance that overflows.
         InsufficientDonors: donor group smaller than n_matches.
     """
     z = np.atleast_2d(np.asarray(scores, dtype=float))
@@ -275,6 +275,8 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n_matches)]
         picked[lo:hi] = donors[col[first]]
         d2_picked[lo:hi] = d2[first]
+    if not np.isfinite(d2_picked).all():
+        raise InvalidArgument("a squared match distance overflows; rescale the scores")
     return MatchedSet(
         query_indices=queries,
         donor_indices=picked,

@@ -327,6 +327,22 @@ class TestErrorFormat:
         assert captured.out == ""
         assert captured.err == f"error: alpha must be in (0, 1), got {alpha}\n"
 
+    @pytest.mark.parametrize("body, reason", [
+        (b"0,1,2\n1,\xff2,3\n", "not UTF-8 text (invalid start byte)"),
+        (b"0,1,2\n1,2," + b"3" * 200_000 + b"\n", "field larger than field limit (131072)"),
+    ], ids=["not-utf8", "field-too-large"])
+    def test_unreadable_input_exits_two(self, tmp_path, body, reason, capsys):
+        # the bad byte stops the first read; the long field parses as inf,
+        # so the row loop meets the csv module's field limit
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"t,y,x\n" + body)
+        code = main(["estimate", "--input", str(f), "--treatment", "t", "--outcome", "y",
+                     "--covariates", "x"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {f}: {reason}\n"
+
     def test_missing_file(self, capsys):
         code = main([
             "estimate", "--input", "/nonexistent.csv", "--treatment", "T",
@@ -346,6 +362,10 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 assert not scipy_modules(), ("import", scipy_modules())
+# ingest loads nothing that importing the CLI has not
+imported = set(sys.modules)
+sdrmatch.dataset.load_csv({lalonde!r}, "treat", "re78", {covariates!r}.split(","))
+assert set(sys.modules) == imported, sorted(set(sys.modules) - imported)
 data = ["--input", {lalonde!r}, "--treatment", "treat", "--outcome", "re78",
         "--covariates", {covariates!r}]
 for argv in (["estimate", *data, "--method", "sdr"],

@@ -1,7 +1,11 @@
+import csv
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdrmatch.dataset import (
     ObservationalSample,
@@ -10,12 +14,77 @@ from sdrmatch.dataset import (
     load_csv,
     write_csv,
 )
-from sdrmatch.errors import InsufficientData, InvalidArgument, ParseError, SchemaError
+from sdrmatch.errors import (
+    InsufficientData, InvalidArgument, ParseError, SchemaError, SdrMatchError,
+)
 from sdrmatch.numerics import RngStream
 
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_load_csv(path, treatment, outcome, covariates):
+    """Reference reader: csv records one by one, one float() per referenced cell."""
+    def parse_cell(raw, row, column):
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"row {row}, column '{column}': cannot parse {raw!r} as a number"
+            ) from None
+        if not math.isfinite(value):
+            raise ParseError(f"row {row}, column '{column}': non-finite value {raw!r}")
+        return value
+
+    covariates = list(covariates)
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: file is empty, expected a header row") from None
+        header = [h.strip() for h in header]
+        positions = {}
+        for name in [treatment, outcome, *covariates]:
+            if name not in header:
+                raise SchemaError(f"missing column '{name}' in {path}")
+            positions[name] = header.index(name)
+
+        needed = max(positions.values())
+        t_rows, y_rows, x_rows = [], [], []
+        for i, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) <= needed:
+                raise ParseError(f"row {i}: expected {needed + 1} fields, got {len(row)}")
+            t_val = parse_cell(row[positions[treatment]], i, treatment)
+            if t_val not in (0.0, 1.0):
+                raise ParseError(
+                    f"row {i}, column '{treatment}': treatment must be 0 or 1, got {t_val:g}"
+                )
+            t_rows.append(int(t_val))
+            y_rows.append(parse_cell(row[positions[outcome]], i, outcome))
+            x_rows.append([parse_cell(row[positions[c]], i, c) for c in covariates])
+
+    if not t_rows:
+        raise ParseError(f"{path}: no data rows")
+    return ObservationalSample(
+        covariates=np.asarray(x_rows, dtype=float),
+        treatment=np.asarray(t_rows, dtype=np.int64),
+        outcome=np.asarray(y_rows, dtype=float),
+        column_names=tuple(covariates),
+    )
+
+
+def load_result(reader, *args):
+    """Arrays as (dtype, shape, C-contiguous, bytes), or the error's type and text."""
+    try:
+        sample = reader(*args)
+    except SdrMatchError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+            for a in (sample.covariates, sample.treatment, sample.outcome)]
 
 
 class TestLoadCsv:
@@ -104,6 +173,93 @@ class TestLoadCsv:
         assert sample.n_subjects == 614
         assert int(sample.treatment.sum()) == 185
         assert int((1 - sample.treatment).sum()) == 429
+
+
+# Cells and lines that the row-by-row reader accepts, and those that make
+# it raise or that it accepts where numpy does not.
+NUMBERS = ["0", "1", "-2.5", "0.1", "3.25e-3", "1E+05", "+8.", ".5", "-0",
+           "12345678901234567890", " 4 ", "\t5", '"6.5"', '" 7 "']
+TREATMENTS = ["0", "1", "1.0", " 1 ", '"0"', "-0"]
+BLANK = ["", "", "", ""]
+ODD = ["1_000", "١", "nan", "inf", "-inf", "1e999", "", "abc", '"1,5"', '"1\n2"', " "]
+ODD_TREATMENTS = ["2", "١", "nan"]
+ODD_LINES = [" ", "\t ", "1", "0,1", "1,2,3", "0,1,2,3"]
+
+
+def csv_files():
+    """Text of a CSV file with columns T, Y, a, b, c, of which c is unread.
+
+    Half the files draw only from the accepted tokens, so that whole files
+    load; the others mix in a few odd ones."""
+    def text(pools):
+        cells, treatments, lines = pools
+        row = st.builds(lambda t, cells: ",".join([t, *cells]), st.sampled_from(treatments),
+                        st.lists(st.sampled_from(cells), min_size=4, max_size=5))
+        return st.tuples(st.lists(st.one_of(row, st.sampled_from(lines)), max_size=12),
+                         st.sampled_from(["\n", "\r\n", "\r"]), st.booleans()).map(
+            lambda f: f[1].join(["T,Y,a,b,c", *f[0]]) + (f[1] if f[2] else ""))
+    return st.sampled_from([
+        (NUMBERS, TREATMENTS, BLANK),
+        (NUMBERS * 4 + ODD, TREATMENTS * 2 + ODD_TREATMENTS, BLANK + ODD_LINES),
+    ]).flatmap(text)
+
+
+class TestLoadCsvParity:
+    """load_csv against the row-by-row reference: same bytes or same error."""
+
+    # numpy's "input contained no data" is a UserWarning; a wider filter
+    # would also raise warnings that hypothesis itself emits while reporting
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_files(), st.sampled_from([["a", "b"], ["b", "a"], ["b"], []]))
+    def test_matches_row_by_row_reference(self, tmp_path, text, covariates):
+        f = tmp_path / "d.csv"
+        with open(f, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
+        args = (f, "T", "Y", covariates)
+        assert load_result(load_csv, *args) == load_result(reference_load_csv, *args)
+
+    def test_shipped_and_written_files_match_reference(self, tmp_path):
+        rng = np.random.default_rng(5)
+        written = tmp_path / "n5000.csv"
+        write_csv(ObservationalSample(rng.normal(size=(5000, 10)),
+                                      (rng.uniform(size=5000) < 0.5).astype(int),
+                                      rng.normal(size=5000)), written)
+        lalonde = Path(__file__).resolve().parents[1] / "data" / "lalonde_cps3_synthetic.csv"
+        for args in [(lalonde, "treat", "re78", ["age", "educ", "black", "hisp", "married",
+                                                 "nodegr", "re74", "re75", "u74", "u75"]),
+                     (written, "treatment", "outcome", [f"x{j + 1}" for j in range(10)])]:
+            result = load_result(load_csv, *args)
+            assert isinstance(result, list)
+            assert result == load_result(reference_load_csv, *args)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLoadCsvErrorPath:
+    def test_bad_cell_near_end_of_large_file(self, tmp_path):
+        f = tmp_path / "d.csv"
+        rows = [f"{i % 2},{i}.5,{i},{-i}" for i in range(1, 5001)]
+        rows[4998] = "1,4999.5,4999,x"
+        write_lines(f, ["T,Y,a,b", *rows])
+        with pytest.raises(ParseError,
+                           match=r"^row 4999, column 'b': cannot parse 'x' as a number$"):
+            load_csv(f, "T", "Y", ["a", "b"])
+
+    @pytest.mark.parametrize("body", [[], [""], ["", "", ""]])
+    def test_no_data_rows(self, tmp_path, body):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["T,Y,x1", *body])
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(f))}: no data rows$"):
+            load_csv(f, "T", "Y", ["x1"])
+
+    def test_float_syntax_numpy_rejects(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["T,Y,x1", "0,1_000,2", "١,2,٣"])
+        sample = load_csv(f, "T", "Y", ["x1"])
+        assert sample.treatment.tolist() == [0, 1]
+        assert sample.outcome.tolist() == [1000.0, 2.0]
+        assert sample.covariates.tolist() == [[2.0], [3.0]]
 
 
 class TestSampleValidation:

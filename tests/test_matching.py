@@ -348,17 +348,40 @@ class TestExactness:
                 self.check(z, t, 2, direction, MahalanobisMetric(w))
 
     def test_huge_scores_whitened_norms_overflow(self):
-        # |e W|^2 overflows near 1e308 while many canonical d^2 stay finite
+        # |e W|^2 overflows near 1e308 while many canonical d^2 stay finite.
+        # A call that would pick an overflowing d^2 raises, so each direction
+        # is also checked without the queries whose first m overflow
         rng = RngStream(71)
+        checked = 0
         for rep in range(40):
-            k = 2 + rep % 2
+            k, m = 2 + rep % 2, 1 + rep % 3
             sign = np.where(rng.uniform((30, k)) < 0.5, -1.0, 1.0)
             z = sign * 10.0 ** (150.0 + 5.0 * rng.uniform((30, k)))
             t = (rng.uniform(30) < 0.5).astype(int)
             metric = MahalanobisMetric((1.0 + 99.0 * rng.uniform()) * np.eye(k))
+            inv = metric.inverse_covariance
             for direction in (FOR_TREATED, FOR_CONTROL):
                 with np.errstate(over="ignore"):
-                    self.check(z, t, 1 + rep % 3, direction, metric)
+                    queries, expected = brute_force_matches(z, t, inv, m, direction)
+                    distances = brute_force_distances(z, queries, expected, inv)
+                    overflow = [q for q, row in zip(queries, distances)
+                                if not np.isfinite(row).all()]
+                    if overflow:
+                        with pytest.raises(InvalidArgument, match="overflows"):
+                            find_matches(z, t, metric, m, direction)
+                    keep = np.setdiff1d(np.arange(30), overflow)
+                    if len(overflow) < len(queries):
+                        self.check(z[keep], t[keep], m, direction, metric)
+                        checked += len(queries) - len(overflow)
+        assert checked >= 200
+
+    def test_overflowing_distance_raises(self):
+        # every candidate's d^2 overflows: a tie at inf would pick donor 1,
+        # though donor 3 is half as far
+        z = np.array([[1e155, 0.0], [-1e155, 0.0], [-2e155, 0.0], [0.0, 0.0]])
+        t = np.array([1, 0, 0, 0])
+        with np.errstate(over="ignore"), pytest.raises(InvalidArgument, match="overflows"):
+            find_matches(z, t, MahalanobisMetric(np.eye(2)), 1, FOR_TREATED)
 
     def test_tiny_scores_tolerance_underflows(self):
         # d^2 near or below the smallest normal float: the relative
