@@ -10,103 +10,14 @@ compares them on known data-generating processes.
 
 __version__ = "0.1.0"
 
-from . import errors
-from .dataset import (
-    ObservationalSample,
-    StandardizationMap,
-    apply_standardization,
-    fit_standardization,
-    load_csv,
-    write_csv,
-)
-from .matching import (
-    BalancingScore,
-    CausalEstimate,
-    MahalanobisMetric,
-    MatchedSet,
-    balancing_score,
-    build_metric,
-    estimate,
-    find_matches,
-    impute,
-)
-from .numerics import (
-    EigenDecomposition,
-    RngStream,
-    chi_square_sf,
-    inverse_sqrt_spd,
-    sample_bernoulli,
-    sym_eigen,
-)
-from .propensity import (
-    GaussianMixtureDesign,
-    LogisticModel,
-    fit_logistic,
-    predict_ps,
-    true_ps_bayes,
-)
-from .sdr import (
-    CentralSubspaceEstimate,
-    SlicedMoments,
-    candidate_matrix,
-    estimate_central_subspace,
-    reduce_covariates,
-    sequential_rank_test,
-    slice_by_quantiles,
-)
-from .simulation import (
-    MonteCarloReport,
-    ScenarioSpec,
-    generate,
-    load_case3_config,
-    monte_carlo_truth,
-    run_monte_carlo,
-    scenario,
-    true_effect,
-)
+from . import dataset, errors, matching, numerics, propensity, sdr, simulation
+from .dataset import *
+from .matching import *
+from .numerics import *
+from .propensity import *
+from .sdr import *
+from .simulation import *
 
-__all__ = [
-    "__version__",
-    "errors",
-    "ObservationalSample",
-    "StandardizationMap",
-    "apply_standardization",
-    "fit_standardization",
-    "load_csv",
-    "write_csv",
-    "BalancingScore",
-    "CausalEstimate",
-    "MahalanobisMetric",
-    "MatchedSet",
-    "balancing_score",
-    "build_metric",
-    "estimate",
-    "find_matches",
-    "impute",
-    "EigenDecomposition",
-    "RngStream",
-    "chi_square_sf",
-    "inverse_sqrt_spd",
-    "sample_bernoulli",
-    "sym_eigen",
-    "GaussianMixtureDesign",
-    "LogisticModel",
-    "fit_logistic",
-    "predict_ps",
-    "true_ps_bayes",
-    "CentralSubspaceEstimate",
-    "SlicedMoments",
-    "candidate_matrix",
-    "estimate_central_subspace",
-    "reduce_covariates",
-    "sequential_rank_test",
-    "slice_by_quantiles",
-    "MonteCarloReport",
-    "ScenarioSpec",
-    "generate",
-    "load_case3_config",
-    "monte_carlo_truth",
-    "run_monte_carlo",
-    "scenario",
-    "true_effect",
-]
+# a name is public exactly when its module's __all__ lists it
+__all__ = ["__version__", "errors", *dataset.__all__, *matching.__all__, *numerics.__all__,
+           *propensity.__all__, *sdr.__all__, *simulation.__all__]

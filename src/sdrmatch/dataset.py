@@ -94,11 +94,13 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
 
     The referenced columns are parsed in one vectorised pass. When that pass
     fails, or yields a non-finite value or a treatment outside {0, 1}, the
-    file is read again row by row: that loop defines which input is valid,
-    names the bad cell, and also accepts what ``float`` reads but numpy does not.
+    same lines are parsed again row by row: that loop defines which input is
+    valid, names the bad cell, and also accepts what ``float`` reads but numpy
+    does not.
 
     Args:
-        path: CSV file with a header row; UTF-8, '.' decimal point.
+        path: CSV file with a header row; UTF-8 with or without a byte-order
+            mark, '.' decimal point.
         treatment: name of the 0/1 treatment column.
         outcome: name of the observed-outcome column.
         covariates: names of the covariate columns, in the desired order.
@@ -113,6 +115,8 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
     names = [treatment, outcome, *covariates]
     try:
         with open(path, newline="", encoding="utf-8") as handle:
+            if handle.read(1) != "\ufeff":     # skip a byte-order mark, as utf-8-sig
+                handle.seek(0)                  # would, without loading that codec
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -132,7 +136,7 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
             except ValueError:
                 pass
         if data is None or not (np.isfinite(data).all() and np.isin(data[:, 0], (0.0, 1.0)).all()):
-            data = _parse_rows(path, names, columns)
+            data = _parse_rows(path, lines, names, columns)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -145,27 +149,24 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
     )
 
 
-def _parse_rows(path, names: list[str], columns: list[int]) -> np.ndarray:
-    """Read the data rows one by one into columns (treatment, outcome, covariates).
+def _parse_rows(path, lines: list[str], names: list[str], columns: list[int]) -> np.ndarray:
+    """Parse the data lines one by one into columns (treatment, outcome, covariates).
 
     Raises the ParseError that names the first bad row and column."""
     needed = max(columns)
     rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader, None)
-        for i, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) <= needed:
-                raise ParseError(f"row {i}: expected {needed + 1} fields, got {len(row)}")
-            t_val = _parse_cell(row[columns[0]], i, names[0])
-            if t_val not in (0.0, 1.0):
-                raise ParseError(
-                    f"row {i}, column '{names[0]}': treatment must be 0 or 1, got {t_val:g}"
-                )
-            rows.append([t_val, *(_parse_cell(row[j], i, name)
-                                  for name, j in zip(names[1:], columns[1:]))])
+    for i, row in enumerate(csv.reader(lines), start=1):
+        if not row:
+            continue
+        if len(row) <= needed:
+            raise ParseError(f"row {i}: expected {needed + 1} fields, got {len(row)}")
+        t_val = _parse_cell(row[columns[0]], i, names[0])
+        if t_val not in (0.0, 1.0):
+            raise ParseError(
+                f"row {i}, column '{names[0]}': treatment must be 0 or 1, got {t_val:g}"
+            )
+        rows.append([t_val, *(_parse_cell(row[j], i, name)
+                              for name, j in zip(names[1:], columns[1:]))])
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

@@ -55,17 +55,6 @@ class BalancingScore:
         x = np.atleast_2d(np.asarray(covariates, dtype=float))
         return cls(into_control=x, into_treated=x)
 
-    @classmethod
-    def propensity(cls, scores, diagnostics=None) -> "BalancingScore":
-        s = np.asarray(scores, dtype=float).reshape(-1, 1)
-        return cls(into_control=s, into_treated=s, diagnostics=diagnostics or {})
-
-    @classmethod
-    def reduced(cls, into_control, into_treated=None, diagnostics=None) -> "BalancingScore":
-        z0 = np.atleast_2d(np.asarray(into_control, dtype=float))
-        z1 = None if into_treated is None else np.atleast_2d(np.asarray(into_treated, dtype=float))
-        return cls(into_control=z0, into_treated=z1, diagnostics=diagnostics or {})
-
 
 def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
                     n_slices: int, alpha: float, truth=None) -> BalancingScore:
@@ -89,10 +78,11 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
         return BalancingScore.ambient(x)
     if method == "ps-logistic":
         model = fit_logistic(x, sample.treatment)
-        return BalancingScore.propensity(predict_ps(model, x),
-                                         {"logistic_converged": model.converged})
+        ps = predict_ps(model, x)[:, None]
+        return BalancingScore(ps, ps, {"logistic_converged": model.converged})
     if method == "ps-true":
-        return BalancingScore.propensity(truth.true_ps)
+        ps = truth.true_ps[:, None]
+        return BalancingScore(ps, ps)
     if method == "sdr":
         est0 = sdr.estimate_central_subspace(sample, 0, n_slices, alpha)
         diagnostics = {"rank_control": est0.selected_rank, "rank_treated": None,
@@ -103,10 +93,9 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
             z1 = sdr.reduce_covariates(est1, x)
             diagnostics.update(rank_treated=est1.selected_rank,
                                rank_fallback_treated=est1.rank_fallback)
-        return BalancingScore.reduced(sdr.reduce_covariates(est0, x), z1, diagnostics)
+        return BalancingScore(sdr.reduce_covariates(est0, x), z1, diagnostics)
     if method == "sdr-oracle":
-        return BalancingScore.reduced(x @ truth.oracle_basis_control,
-                                      x @ truth.oracle_basis_treated)
+        return BalancingScore(x @ truth.oracle_basis_control, x @ truth.oracle_basis_treated)
     if method == "active-set-oracle":
         return BalancingScore.ambient(x[:, list(truth.active_columns)])
     raise InvalidArgument(f"unknown method {method!r}")
@@ -155,18 +144,19 @@ class CausalEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def build_metric(scores, ridge: float | None = None) -> MahalanobisMetric:
+def build_metric(scores) -> MahalanobisMetric:
     """Metric from the pooled (all-subject) sample covariance of the scores.
 
     The whitening map is the ridge-stabilized inverse square root of that
-    covariance, so a constant score column degenerates cleanly: pairwise
-    differences along it are zero and contribute nothing.
+    covariance (inverse_sqrt_spd's default ridge), so a constant score column
+    degenerates cleanly: pairwise differences along it are zero and
+    contribute nothing.
     """
     z = np.atleast_2d(np.asarray(scores, dtype=float))
     if z.shape[0] < 2:
         raise InvalidArgument("need at least 2 rows to pool a covariance")
     cov = np.atleast_2d(np.cov(z, rowvar=False, ddof=1))
-    return MahalanobisMetric(numerics.inverse_sqrt_spd(cov, ridge))
+    return MahalanobisMetric(numerics.inverse_sqrt_spd(cov))
 
 
 def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:

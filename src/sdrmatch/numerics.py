@@ -24,7 +24,6 @@ __all__ = [
     "inverse_sqrt_spd",
     "spd_power",
     "chi_square_sf",
-    "sample_bernoulli",
 ]
 
 _SYMMETRY_RTOL = 1e-10
@@ -169,10 +168,3 @@ class RngStream:
         # imported here so that only code which draws normals loads scipy
         from scipy.special import ndtri
         return ndtri(self.uniform(size))
-
-
-def sample_bernoulli(rng: RngStream, prob: float, n: int) -> np.ndarray:
-    """n i.i.d. 0/1 draws with success probability prob."""
-    if not 0.0 <= prob <= 1.0:
-        raise InvalidArgument(f"prob must lie in [0, 1], got {prob}")
-    return (rng.uniform(int(n)) < prob).astype(np.int64)

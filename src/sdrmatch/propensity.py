@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 _PROB_CLAMP = 1e-12
+_MAX_ITER = 100
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -62,18 +64,18 @@ def _log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
     return float(-np.logaddexp(0.0, np.where(y == 1, -eta, eta)).sum())
 
 
-def fit_logistic(covariates, treatment, max_iter: int = 100, tol: float = 1e-8) -> LogisticModel:
-    """Newton-Raphson logistic MLE with step halving.
+def fit_logistic(covariates, treatment) -> LogisticModel:
+    """Newton-Raphson logistic MLE with step halving, at most 100 iterations.
 
-    Convergence means the score (log-likelihood gradient) is at most tol at
-    unit scale: max_j |g_j| / max(1, max_i |design_ij|) <= tol. Score entry j
-    sums design column j, so for covariates in large units its rounding alone
-    can exceed a raw tol; the division removes the units. Under separation
-    the gradient also vanishes while the coefficients diverge, so the fit
-    additionally stops with converged=False once every fitted probability
-    sits within 10*tol of its label. When 30 halvings of a Newton step all
-    lower the log-likelihood, the fit keeps the current coefficients and
-    stops with converged=False.
+    Convergence means the score (log-likelihood gradient) is at most
+    tol = 1e-8 at unit scale: max_j |g_j| / max(1, max_i |design_ij|) <= tol.
+    Score entry j sums design column j, so for covariates in large units its
+    rounding alone can exceed a raw tol; the division removes the units.
+    Under separation the gradient also vanishes while the coefficients
+    diverge, so the fit additionally stops with converged=False once every
+    fitted probability sits within 10*tol of its label. When 30 halvings of
+    a Newton step all lower the log-likelihood, the fit keeps the current
+    coefficients and stops with converged=False.
 
     Raises:
         DegenerateLabels: treatment contains a single class.
@@ -92,16 +94,16 @@ def fit_logistic(covariates, treatment, max_iter: int = 100, tol: float = 1e-8) 
     loglik = _log_likelihood(y, eta)
     converged = False
     iterations = 0
-    for iterations in range(max_iter + 1):
+    for iterations in range(_MAX_ITER + 1):
         prob = _sigmoid(eta)
         residual = y - prob
-        if np.abs(residual).max() < 10.0 * tol:
+        if np.abs(residual).max() < 10.0 * _TOL:
             break  # saturated fit: separation, MLE at infinity
         gradient = design.T @ residual
-        if (np.abs(gradient) / column_size).max() <= tol:
+        if (np.abs(gradient) / column_size).max() <= _TOL:
             converged = True
             break
-        if iterations == max_iter:
+        if iterations == _MAX_ITER:
             break
         weights = prob * (1.0 - prob)
         hessian = design.T @ (design * weights[:, None])

@@ -26,7 +26,7 @@ import numpy as np
 from . import matching
 from .dataset import ObservationalSample
 from .errors import ConfigError, InvalidArgument, SdrMatchError
-from .numerics import RngStream, sample_bernoulli, spd_power
+from .numerics import RngStream, spd_power
 from .propensity import GaussianMixtureDesign, true_ps_bayes
 
 __all__ = [
@@ -157,6 +157,10 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
     """Build a ScenarioSpec from a scenario id such as 'case1-II' or 'case3-A'.
 
     Family-3 scenarios require a Case3Config (see load_case3_config).
+
+    Raises:
+        InvalidArgument: unknown scenario or method, no methods, a method id
+            given twice, or n or p too small.
     """
     if case not in SCENARIO_IDS:
         raise InvalidArgument(f"unknown scenario {case!r}; known: {', '.join(SCENARIO_IDS)}")
@@ -168,6 +172,11 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
         raise InvalidArgument(f"unknown methods: {', '.join(unknown)}")
+    if not methods:
+        raise InvalidArgument("no methods given")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise InvalidArgument(f"repeated methods: {', '.join(repeated)}")
 
     family, model = case.split("-", 1)
     if family in ("case1", "case2"):
@@ -330,7 +339,7 @@ class GeneratedData:
 def _case1_arms(spec: ScenarioSpec, rng: RngStream, n: int):
     """Marginal Bernoulli(0.5) treatment, Gaussian covariates within each arm."""
     design = spec.design
-    t = sample_bernoulli(rng, design.treat_prob, n)
+    t = (rng.uniform(n) < design.treat_prob).astype(np.int64)
     z = rng.normal((n, spec.p))
     x = np.empty((n, spec.p))
     is1 = t == 1

@@ -307,6 +307,8 @@ class TestErrorFormat:
         (["--slices", "1"], "need at least 2 slices, got 1"),
         (["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
         (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
+        (["--methods", ","], "no methods given"),
+        (["--methods", "sdr,sdr"], "repeated methods: sdr"),
     ])
     def test_simulate_argument_errors_exit_two(self, flags, message, capsys):
         # rejected before any replicate runs, not counted as replicate failures

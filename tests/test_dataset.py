@@ -163,6 +163,17 @@ class TestLoadCsv:
         assert np.array_equal(first.outcome, second.outcome)
         assert np.array_equal(first.treatment, second.treatment)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a BOM; the second body
+        # takes the row-by-row path
+        for body in (b"t,y,x1,x2\n0,1.5,2,3\n1,2.5,4,5\n", b"t,y,x1,x2\n0,1_5,2,3\n1,2.5,4,5\n"):
+            plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+            plain.write_bytes(body)
+            marked.write_bytes(b"\xef\xbb\xbf" + body)
+            expected = load_result(load_csv, plain, "t", "y", ["x1", "x2"])
+            assert isinstance(expected, list)
+            assert load_result(load_csv, marked, "t", "y", ["x1", "x2"]) == expected
+
     def test_lalonde_shape(self):
         repo = Path(__file__).resolve().parents[1]
         sample = load_csv(

@@ -18,12 +18,17 @@ from sdrmatch.matching import (
     find_matches,
     impute,
 )
-from sdrmatch.numerics import RngStream
+from sdrmatch.numerics import RngStream, inverse_sqrt_spd
 from sdrmatch.simulation import generate, scenario
 
 
 def sdr_score(sample, estimand):
     return balancing_score("sdr", sample, estimand=estimand, n_slices=5, alpha=0.05)
+
+
+def unridged_metric(scores):
+    """build_metric without its ridge: the exact inverse square root of the pooled covariance."""
+    return MahalanobisMetric(inverse_sqrt_spd(np.cov(scores, rowvar=False), 0.0))
 
 
 def make_sample(x, t, y):
@@ -509,8 +514,8 @@ class TestEstimators:
         rng = RngStream(55)
         x = rng.normal((40, 2))
         sample = ObservationalSample(x, np.array([1, 0] * 20), rng.normal(40))
-        for score in (BalancingScore.ambient(np.vstack([x, x])),
-                      BalancingScore.propensity(rng.uniform((40, 2)))):
+        ps = rng.uniform(80)[:, None]
+        for score in (BalancingScore.ambient(np.vstack([x, x])), BalancingScore(ps, ps)):
             with pytest.raises(InvalidArgument):
                 estimate(sample, score, "ace", 1)
 
@@ -526,7 +531,7 @@ class TestEstimators:
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         sample = ObservationalSample(x, np.array([1, 0, 1, 0]), np.arange(4.0))
         with pytest.raises(InvalidArgument):
-            estimate(sample, BalancingScore.reduced(x), "ace", 1)
+            estimate(sample, BalancingScore(x), "ace", 1)
 
     def test_replacement_counts(self):
         rng = RngStream(54)
@@ -571,8 +576,8 @@ class TestPipelineAndInvariants:
         a = rng.normal((k, k)) + 2.0 * np.eye(k)
         b = rng.normal(k)
         w = z @ a + b
-        base = find_matches(z, t, build_metric(z, ridge=0.0), 2, FOR_TREATED)
-        moved = find_matches(w, t, build_metric(w, ridge=0.0), 2, FOR_TREATED)
+        base = find_matches(z, t, unridged_metric(z), 2, FOR_TREATED)
+        moved = find_matches(w, t, unridged_metric(w), 2, FOR_TREATED)
         assert np.array_equal(base.donor_indices, moved.donor_indices)
         assert np.abs(base.distances - moved.distances).max() < 1e-8
 
@@ -583,8 +588,8 @@ class TestPipelineAndInvariants:
         t = (rng.uniform(n) < 0.5).astype(int)
         theta = 0.7
         q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        base = find_matches(z, t, build_metric(z, ridge=0.0), 1, FOR_CONTROL)
-        spun = find_matches(z @ q, t, build_metric(z @ q, ridge=0.0), 1, FOR_CONTROL)
+        base = find_matches(z, t, unridged_metric(z), 1, FOR_CONTROL)
+        spun = find_matches(z @ q, t, unridged_metric(z @ q), 1, FOR_CONTROL)
         assert np.array_equal(base.donor_indices, spun.donor_indices)
 
     def test_permutation_invariance(self):
@@ -717,9 +722,9 @@ class TestBalancingScoreRegistry:
     def test_ace_builds_one_metric_for_a_shared_score(self, monkeypatch):
         calls = []
 
-        def counting_build_metric(scores, ridge=None):
+        def counting_build_metric(scores):
             calls.append(scores)
-            return build_metric(scores, ridge)
+            return build_metric(scores)
 
         monkeypatch.setattr(matching, "build_metric", counting_build_metric)
         data = generate(scenario("case1-III"), RngStream(64, 0))
@@ -727,3 +732,8 @@ class TestBalancingScoreRegistry:
         assert len(calls) == 1
         estimate(data.sample, sdr_score(data.sample, "ace"), "ace")
         assert len(calls) == 3
+        for method in ("ps-logistic", "ps-true"):
+            score = balancing_score(method, data.sample, estimand="ace", n_slices=5,
+                                    alpha=0.05, truth=data)
+            estimate(data.sample, score, "ace")
+        assert len(calls) == 5

@@ -7,7 +7,6 @@ from sdrmatch.numerics import (
     RngStream,
     chi_square_sf,
     inverse_sqrt_spd,
-    sample_bernoulli,
     spd_power,
     sym_eigen,
 )
@@ -226,16 +225,3 @@ class TestSampling:
         draws = RngStream(3).normal((10000, 3)) @ spd_power(cov, 0.5)
         est = np.cov(draws, rowvar=False)
         assert est[0, 2] == pytest.approx(0.04, abs=0.05)
-
-    def test_bernoulli_endpoints(self):
-        rng = RngStream(4)
-        assert not sample_bernoulli(rng, 0.0, 500).any()
-        assert sample_bernoulli(rng, 1.0, 500).all()
-
-    def test_bernoulli_mean(self):
-        draws = sample_bernoulli(RngStream(5), 0.5, 10000)
-        assert draws.mean() == pytest.approx(0.5, abs=0.02)
-
-    def test_bernoulli_rejects_bad_prob(self):
-        with pytest.raises(InvalidArgument):
-            sample_bernoulli(RngStream(6), 1.5, 10)

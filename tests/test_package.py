@@ -1,0 +1,40 @@
+"""The package's public surface: one list of names per module, re-exported in order."""
+
+import importlib
+import inspect
+
+import sdrmatch
+
+MODULES = ("dataset", "matching", "numerics", "propensity", "sdr", "simulation")
+
+
+def module(name):
+    return importlib.import_module(f"sdrmatch.{name}")
+
+
+def test_package_all_is_the_module_lists_in_order():
+    expected = ["__version__", "errors"]
+    for name in MODULES:
+        expected += module(name).__all__
+    assert sdrmatch.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+def test_every_listed_name_is_its_module_object():
+    for name in MODULES:
+        for attr in module(name).__all__:
+            assert getattr(sdrmatch, attr) is getattr(module(name), attr), attr
+    assert sdrmatch.errors is module("errors")
+    namespace = {}
+    exec("from sdrmatch import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(sdrmatch.__all__)
+
+
+def test_surface_only_tests_used_is_gone():
+    assert not hasattr(module("numerics"), "sample_bernoulli")
+    assert not hasattr(sdrmatch, "sample_bernoulli")
+    assert not hasattr(sdrmatch.BalancingScore, "propensity")
+    assert not hasattr(sdrmatch.BalancingScore, "reduced")
+    assert list(inspect.signature(sdrmatch.build_metric).parameters) == ["scores"]
+    assert list(inspect.signature(sdrmatch.fit_logistic).parameters) == [
+        "covariates", "treatment"]

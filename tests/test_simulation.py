@@ -54,6 +54,15 @@ class TestScenarioSpecs:
         with pytest.raises(InvalidArgument):
             scenario("case1-I", n=20)
 
+    def test_empty_methods_rejected(self):
+        with pytest.raises(InvalidArgument, match="no methods"):
+            scenario("case1-I", methods=())
+
+    def test_repeated_methods_rejected(self):
+        # a repeat would fit and match the method twice per replicate for one row
+        with pytest.raises(InvalidArgument, match="repeated methods: sdr"):
+            scenario("case1-I", methods=("sdr", "ambient", "sdr"))
+
 
 class TestCase1Generator:
     def test_marginal_first_covariate_variance(self):
