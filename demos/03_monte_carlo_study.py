@@ -19,7 +19,7 @@ spec = scenario(
 )
 
 start = time.time()
-report = run_monte_carlo(spec, reps=R, seed=11, n_matches=1, threads=4)
+report = run_monte_carlo(spec, reps=R, seed=11, n_matches=1)
 elapsed = time.time() - start
 
 print(f"scenario {report.scenario}: true effect {report.truth:.4f} "

@@ -9,7 +9,6 @@ thread count never changes output bytes.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -83,9 +82,8 @@ def build_parser() -> _Parser:
     sim.add_argument("--estimand", choices=("ace", "acet"), default="ace")
     sim.add_argument("--methods", default="ambient,ps-logistic,ps-true,sdr",
                      help="comma-separated method ids")
-    sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: the CPUs this process may run "
-                          "on); never affects output bytes")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker threads (default 1); never affects output bytes")
     sim.add_argument("--coef-config", help="coefficient config (required for case3)")
     sim.add_argument("--output", help="report path (default: stdout)")
     sim.add_argument("--format", choices=("csv", "text"), default="csv")
@@ -210,21 +208,11 @@ def _format_report_text(report, header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_threads(flag_value) -> int:
-    if flag_value is not None:
-        if flag_value < 1:
-            raise InvalidArgument(f"--threads must be >= 1, got {flag_value}")
-        return flag_value
-    # the CPUs this process may run on, which a container or taskset can limit
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cmd_simulate(args) -> int:
     if args.reps < 2:
         raise InvalidArgument(f"--reps must be at least 2, got {args.reps}")
-    threads = _resolve_threads(args.threads)
+    if args.threads < 1:
+        raise InvalidArgument(f"--threads must be >= 1, got {args.threads}")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     coefficients = None
     if args.scenario.startswith("case3"):
@@ -236,7 +224,7 @@ def cmd_simulate(args) -> int:
     )
     report = simulation.run_monte_carlo(
         spec, args.reps, seed=args.seed, n_matches=args.m, n_slices=args.slices,
-        alpha=args.alpha, threads=threads, estimand=args.estimand,
+        alpha=args.alpha, threads=args.threads, estimand=args.estimand,
     )
     header = _header_line("simulate", args)
     text = (

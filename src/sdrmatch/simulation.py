@@ -18,7 +18,6 @@ aggregates bias/SD/RMSE against the scenario's true effect.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -509,7 +508,9 @@ def run_monte_carlo(spec: ScenarioSpec, reps: int, seed: int = 0,
     identical dataset within a replicate. Per-replicate failures are recorded
     per method, not fatal. The report is fully determined by
     (spec, reps, seed, n_matches, n_slices, alpha, estimand) -- the thread
-    count only changes scheduling.
+    count only changes scheduling. Replicates run serially by default: a
+    replicate is many short numpy calls that hold the GIL, so threads > 1
+    only pays at large n with BLAS held to one thread.
 
     Raises:
         InvalidArgument: reps < 2, threads < 1, n_matches < 1, n_slices < 2
@@ -531,6 +532,7 @@ def run_monte_carlo(spec: ScenarioSpec, reps: int, seed: int = 0,
         return _one_replicate(spec, rep, seed, estimand, n_matches, n_slices, alpha)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, range(reps)))
     else:

@@ -172,11 +172,23 @@ class TestSimulate:
         capsys.readouterr()
         assert files[0] == files[1]
 
-    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
+    def test_default_threads_is_one_whatever_the_cpus(self, monkeypatch, capsys):
         from sdrmatch import cli
 
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert cli._resolve_threads(None) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        seen = []
+        real = cli.simulation.run_monte_carlo
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.simulation, "run_monte_carlo", spy)
+        code = main(["simulate", "--scenario", "case1-I", "--n", "60", "--reps", "2",
+                     "--methods", "ambient"])
+        capsys.readouterr()
+        assert code == 0
+        assert seen == [1]
 
     def test_text_format(self, capsys):
         code = main([
