@@ -219,6 +219,12 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
 _TERM_KINDS = {"const": 0, "linear": 1, "quad": 1, "inter": 2}
 
 
+def _finite(value, what: str) -> float:
+    if isinstance(value, (int, float)) and abs(value) <= np.finfo(float).max:
+        return float(value)
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
 def _parse_terms(raw, letter: str) -> list:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"scenario {letter}: terms must be a non-empty list")
@@ -227,19 +233,19 @@ def _parse_terms(raw, letter: str) -> list:
         if not isinstance(item, list) or not item:
             raise ConfigError(f"scenario {letter}: malformed term {item!r}")
         kind = item[0]
-        if kind not in _TERM_KINDS:
+        if not isinstance(kind, str) or kind not in _TERM_KINDS:
             raise ConfigError(f"scenario {letter}: unknown term kind {kind!r}")
         n_idx = _TERM_KINDS[kind]
         if len(item) != n_idx + 2:
             raise ConfigError(f"scenario {letter}: term {item!r} has wrong arity")
         indices = item[1:1 + n_idx]
         for idx in indices:
-            if int(idx) != idx or not 1 <= idx <= CASE3_P:
+            if idx not in range(1, CASE3_P + 1):
                 raise ConfigError(
                     f"scenario {letter}: term {item!r} references covariate {idx}, "
                     f"valid range is 1..{CASE3_P}"
                 )
-        coef = float(item[-1])
+        coef = _finite(item[-1], f"scenario {letter}: term {item!r} coefficient")
         terms.append((kind, *(int(i) for i in indices), coef))
     return terms
 
@@ -251,25 +257,28 @@ def load_case3_config(path) -> Case3Config:
             raw = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"coefficient config not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"coefficient config is not valid JSON: {exc}") from None
 
     try:
         outcome = raw["outcome"]
         coef_map = outcome["coefficients"]
-        effect = float(outcome["treatment_effect"])
-        noise_sd = float(outcome.get("noise_sd", 0.1))
-        intercept = float(outcome.get("intercept", 0.0))
+        effect = _finite(outcome["treatment_effect"], "treatment_effect")
+        noise_sd = _finite(outcome.get("noise_sd", 0.1), "noise_sd")
+        intercept = _finite(outcome.get("intercept", 0.0), "intercept")
         scenarios_raw = raw["scenarios"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"coefficient config missing required key: {exc}") from None
+    if noise_sd < 0.0:
+        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd!r}")
+    if not isinstance(coef_map, dict) or not isinstance(scenarios_raw, dict):
+        raise ConfigError("outcome coefficients and scenarios must be JSON objects")
 
     omega = np.zeros(CASE3_P)
     for key, value in coef_map.items():
-        idx = int(key)
-        if not 1 <= idx <= CASE3_P:
-            raise ConfigError(f"outcome coefficient index {idx} outside 1..{CASE3_P}")
-        omega[idx - 1] = float(value)
+        if not key.isdecimal() or not 1 <= int(key) <= CASE3_P:
+            raise ConfigError(f"outcome coefficient index {key} outside 1..{CASE3_P}")
+        omega[int(key) - 1] = _finite(value, f"outcome coefficient {key}")
 
     scenarios = {
         letter: _parse_terms(terms, letter) for letter, terms in scenarios_raw.items()

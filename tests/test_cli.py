@@ -357,6 +357,47 @@ class TestErrorFormat:
         assert captured.out == ""
         assert captured.err == f"error: {f}: {reason}\n"
 
+    @pytest.mark.parametrize("argv, start", [
+        (["estimate", "--input", "x.csv", "--treatment", "T", "--outcome", "Y",
+          "--covariates", "a", "--method", "bogus"],
+         "error: argument --method: invalid choice: 'bogus'"),
+        (["simulate", "--scenario", "case1-I", "--reps", "two"],
+         "error: argument --reps: invalid int value: 'two'"),
+        (["simulate", "--scenario", "case1-I"],
+         "error: the following arguments are required: --reps"),
+        ([], "error: the following arguments are required: command"),
+    ], ids=["bad-choice", "bad-int", "missing-flag", "no-command"])
+    def test_argparse_errors_exit_two(self, argv, start, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(start)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--input", str(LALONDE), "--treatment", "treat", "--outcome", "re78",
+          "--covariates", ","], "no covariate columns given"),
+        (["diagnose", "--input", str(LALONDE), "--treatment", "treat", "--outcome", "re78",
+          "--covariates", LALONDE_COVARIATES, "--bins", "0"], "--bins must be >= 1, got 0"),
+    ], ids=["no-covariates", "zero-bins"])
+    def test_flag_errors_exit_two(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_empty_csv_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "empty.csv"
+        f.write_bytes(b"")
+        code = main(["estimate", "--input", str(f), "--treatment", "T", "--outcome", "Y",
+                     "--covariates", "a"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {f}: file is empty, expected a header row\n"
+
     def test_missing_file(self, capsys):
         code = main([
             "estimate", "--input", "/nonexistent.csv", "--treatment", "T",

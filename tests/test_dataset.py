@@ -282,6 +282,25 @@ class TestSampleValidation:
         with pytest.raises(InvalidArgument):
             ObservationalSample(np.array([[np.inf]]), np.array([0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("covariates, treatment, outcome, names, message", [
+        (np.ones(3), np.zeros(3), np.ones(3), None, "covariates must be 2-D, got ndim=1"),
+        (np.ones((3, 1)), np.zeros(2), np.ones(3), None,
+         "treatment/outcome length must match covariate rows"),
+        (np.ones((3, 1)), np.zeros(3), np.ones((3, 1)), None,
+         "treatment/outcome length must match covariate rows"),
+        (np.ones((3, 2)), np.zeros(3), np.ones(3), ("a",),
+         "column_names length must match covariate columns"),
+    ], ids=["1-d-covariates", "short-treatment", "2-d-outcome", "column-names"])
+    def test_rejects_bad_shapes(self, covariates, treatment, outcome, names, message):
+        with pytest.raises(InvalidArgument, match=rf"^{re.escape(message)}$"):
+            ObservationalSample(covariates, treatment, outcome, column_names=names)
+
+    def test_empty_file_rejected(self, tmp_path):
+        f = tmp_path / "empty.csv"
+        f.write_text("", encoding="utf-8")
+        with pytest.raises(SchemaError, match="file is empty, expected a header row"):
+            load_csv(f, "T", "Y", ["a"])
+
 
 class TestStandardization:
     def test_already_standardized_group(self):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -149,6 +150,16 @@ class TestFindMatches:
         t = np.array([0, 0, 0])
         with pytest.raises(InvalidArgument):
             find_matches(z, t, MahalanobisMetric(np.eye(1)), 1, FOR_TREATED)
+
+    @pytest.mark.parametrize("n_matches, direction, message", [
+        (1, "sideways", "unknown direction 'sideways'"),
+        (0, FOR_TREATED, "n_matches must be >= 1, got 0"),
+    ])
+    def test_bad_direction_or_match_count(self, n_matches, direction, message):
+        z = np.array([[0.0], [1.0], [0.4]])
+        t = np.array([1, 0, 0])
+        with pytest.raises(InvalidArgument, match=rf"^{re.escape(message)}$"):
+            find_matches(z, t, MahalanobisMetric(np.eye(1)), n_matches, direction)
 
     def test_whitening_map_must_be_k_by_k(self):
         z = np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.2], [2.0, 1.0]])

@@ -68,6 +68,10 @@ class TestSymEigen:
         with pytest.raises(InvalidMatrix):
             sym_eigen([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidMatrix, match="contains non-finite entries"):
+            sym_eigen([[1.0, np.nan], [np.nan, 1.0]])
+
     def test_rejects_empty(self):
         for kernel in (sym_eigen, inverse_sqrt_spd, lambda m: spd_power(m, 0.5)):
             with pytest.raises(InvalidMatrix):

@@ -26,6 +26,10 @@ class TestFitLogistic:
         with pytest.raises(DegenerateLabels):
             fit_logistic(np.ones((3, 1)), np.array([1, 1, 1]))
 
+    def test_misaligned_input_rejected(self):
+        with pytest.raises(InvalidArgument, match="^covariates and treatment must align$"):
+            fit_logistic(np.ones((4, 1)), np.array([0, 1, 0]))
+
     def test_perfect_separation_not_converged(self):
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         t = np.array([0, 0, 1, 1])
@@ -158,6 +162,11 @@ class TestTruePsBayes:
         )
         with pytest.raises(NotPSD):
             true_ps_bayes(design, np.zeros((1, 2)))
+
+    def test_wrong_column_count_rejected(self):
+        design = GaussianMixtureDesign(np.zeros(2), np.zeros(2), np.eye(2), np.eye(2), 0.5)
+        with pytest.raises(InvalidArgument, match="^expected 2 columns, got 3$"):
+            true_ps_bayes(design, np.zeros((4, 3)))
 
     def test_bad_treat_prob_rejected(self):
         with pytest.raises(InvalidArgument):

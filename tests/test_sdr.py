@@ -38,6 +38,14 @@ class TestSlicing:
         with pytest.raises(InvalidArgument):
             slice_by_quantiles(np.arange(5.0), np.zeros((5, 1)), 1)
 
+    def test_misaligned_rows_rejected(self):
+        with pytest.raises(InvalidArgument, match="^outcomes and covariate rows must align$"):
+            slice_by_quantiles(np.arange(6.0), np.zeros((5, 1)), 2)
+
+    def test_group_smaller_than_slice_count_rejected(self):
+        with pytest.raises(InvalidArgument, match="^group size 4 is smaller than 5 slices$"):
+            slice_by_quantiles(np.arange(4.0), np.zeros((4, 1)), 5)
+
     def test_partial_ties_merge(self):
         # heavy ties at zero should merge, leaving at least two slices
         y = np.array([0.0] * 6 + [1.0, 2.0, 3.0, 4.0])

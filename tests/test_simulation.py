@@ -1,8 +1,12 @@
+import dataclasses
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sdrmatch.cli import main
 from sdrmatch.errors import ConfigError, InvalidArgument
 from sdrmatch.numerics import RngStream
 from sdrmatch.simulation import (
@@ -62,6 +66,26 @@ class TestScenarioSpecs:
         # a repeat would fit and match the method twice per replicate for one row
         with pytest.raises(InvalidArgument, match="repeated methods: sdr"):
             scenario("case1-I", methods=("sdr", "ambient", "sdr"))
+
+
+    @pytest.mark.parametrize("case, p, methods, message", [
+        ("case1-I", 1, None, "p must be >= 2, got 1"),
+        ("case1-III", 4, None, "model III needs p >= 5"),
+        ("case2-II*", 2, None, "model II needs p >= 3"),
+        ("case1-I", 10, ("sdr", "bogus", "x"), "unknown methods: bogus, x"),
+    ])
+    def test_bad_dimension_or_methods_rejected(self, case, p, methods, message):
+        with pytest.raises(InvalidArgument, match=rf"^{re.escape(message)}$"):
+            scenario(case, p=p, methods=methods)
+
+    def test_case3_dimension_is_fixed(self, config):
+        with pytest.raises(InvalidArgument, match="fixed at p=10"):
+            scenario("case3-A", p=9, coefficients=config)
+
+    def test_case3_letter_missing_from_config(self, config):
+        cfg = dataclasses.replace(config, scenarios={"A": config.terms("A")})
+        with pytest.raises(ConfigError, match=r"^config has no scenario 'B'$"):
+            scenario("case3-B", coefficients=cfg)
 
 
 class TestCase1Generator:
@@ -206,6 +230,102 @@ class TestCase3Generator:
         with pytest.raises(ConfigError):
             load_case3_config("/nonexistent/coefficients.json")
 
+    def test_interaction_term_sets_true_ps(self, config):
+        cfg = dataclasses.replace(config, scenarios={"A": [("inter", 4, 7, 0.8)]})
+        data = generate(scenario("case3-A", n=200, coefficients=cfg), RngStream(75, 0))
+        x = data.sample.covariates
+        expected = 1.0 / (1.0 + np.exp(-0.8 * x[:, 3] * x[:, 6]))
+        np.testing.assert_allclose(data.true_ps, expected, rtol=1e-15, atol=0.0)
+        assert np.ptp(data.true_ps) > 0.5
+
+
+def _edited_config(edit) -> bytes:
+    cfg = json.loads(COEF_CONFIG.read_text(encoding="utf-8"))
+    edit(cfg)
+    return json.dumps(cfg).encode("utf-8")
+
+
+def _set_outcome(key, value):
+    return _edited_config(lambda cfg: cfg["outcome"].__setitem__(key, value))
+
+
+def _set_scenarios(value):
+    return _edited_config(lambda cfg: cfg.__setitem__("scenarios", value))
+
+
+def _add_term(term):
+    return _edited_config(lambda cfg: cfg["scenarios"]["A"].append(term))
+
+
+# well-formed JSON with wrong types or values, missing keys, invalid JSON and
+# bytes that are not UTF-8: (config file bytes, the ConfigError message)
+MALFORMED_CONFIGS = {
+    "coefficient-key-not-an-index": (
+        _set_outcome("coefficients", {"x": 1}), "outcome coefficient index x outside 1..10"),
+    "coefficient-index-out-of-range": (
+        _set_outcome("coefficients", {"11": 1.0}), "outcome coefficient index 11 outside 1..10"),
+    "coefficients-a-list": (
+        _set_outcome("coefficients", [1, 2]),
+        "outcome coefficients and scenarios must be JSON objects"),
+    "coefficient-infinite": (
+        _set_outcome("coefficients", {"1": float("inf")}),
+        "outcome coefficient 1 must be a finite number, got inf"),
+    "effect-nan": (
+        _set_outcome("treatment_effect", float("nan")),
+        "treatment_effect must be a finite number, got nan"),
+    "intercept-a-string": (
+        _set_outcome("intercept", "high"), "intercept must be a finite number, got 'high'"),
+    "noise-sd-negative": (_set_outcome("noise_sd", -0.1), "noise_sd must be >= 0, got -0.1"),
+    "scenarios-a-list": (
+        _set_scenarios([]), "outcome coefficients and scenarios must be JSON objects"),
+    "terms-not-a-list": (
+        _set_scenarios({"A": "linear"}), "scenario A: terms must be a non-empty list"),
+    "term-not-a-list": (_add_term(5), "scenario A: malformed term 5"),
+    "term-kind-a-list": (_add_term([["const"], 0]), "scenario A: unknown term kind ['const']"),
+    "term-kind-unknown": (_add_term(["cubic", 1, 1.0]), "scenario A: unknown term kind 'cubic'"),
+    "term-wrong-arity": (
+        _add_term(["linear", 1]), "scenario A: term ['linear', 1] has wrong arity"),
+    "term-index-null": (
+        _add_term(["linear", None, 1]),
+        "scenario A: term ['linear', None, 1] references covariate None, valid range is 1..10"),
+    "term-coefficient-a-string": (
+        _add_term(["linear", 2, "abc"]),
+        "scenario A: term ['linear', 2, 'abc'] coefficient must be a finite number, got 'abc'"),
+    "term-coefficient-nan": (
+        _add_term(["quad", 4, float("nan")]),
+        "scenario A: term ['quad', 4, nan] coefficient must be a finite number, got nan"),
+    "missing-key": (
+        _edited_config(lambda cfg: cfg.pop("scenarios")),
+        "coefficient config missing required key: 'scenarios'"),
+    "invalid-json": (
+        b'{"outcome": ', "coefficient config is not valid JSON: Expecting value: "
+                         "line 1 column 13 (char 12)"),
+    "not-utf8": (b'{"outcome": "\xff"}', "coefficient config is not valid JSON: 'utf-8' "
+                                          "codec can't decode byte 0xff in position 13: "
+                                          "invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("body, message", MALFORMED_CONFIGS.values(),
+                         ids=MALFORMED_CONFIGS.keys())
+class TestMalformedConfig:
+    def test_load_raises_config_error(self, tmp_path, body, message):
+        path = tmp_path / "coefficients.json"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError) as err:
+            load_case3_config(path)
+        assert str(err.value) == message
+
+    def test_cli_exits_two_with_one_error_line(self, tmp_path, capsys, body, message):
+        path = tmp_path / "coefficients.json"
+        path.write_bytes(body)
+        code = main(["simulate", "--scenario", "case3-A", "--n", "60", "--reps", "2",
+                     "--methods", "ambient", "--coef-config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestTruths:
     def test_analytic_values(self):
@@ -234,6 +354,11 @@ class TestTruths:
         # model I treated arm is standard normal in X1, so the effect mean
         # matches the ACE value here
         assert value == pytest.approx(4.25, abs=0.05)
+
+
+    def test_unknown_estimand(self):
+        with pytest.raises(InvalidArgument, match=r"^unknown estimand 'att'$"):
+            true_effect(scenario("case1-I"), "att", 0)
 
 
 class TestMonteCarloHarness:
@@ -288,3 +413,56 @@ class TestMonteCarloHarness:
         res = report.methods["sdr"]
         assert report.truth == -0.4
         assert abs(res.bias) <= 3.0 * res.sd / np.sqrt(res.n_used)
+
+
+class TestFailureAccounting:
+    """Replicates whose fits raise. At n = 50 the smaller case1-I arm has 19-25
+    subjects in the first eight replicates of seed 3, so an n_matches above
+    that leaves too few donors, and 26 slices exceed either arm, so sdr fails
+    in every replicate."""
+
+    REPS = 8
+    SEED = 3
+
+    def smaller_arms(self, spec):
+        sizes = []
+        for rep in range(self.REPS):
+            treated = int(generate(spec, RngStream(self.SEED, rep)).sample.treatment.sum())
+            sizes.append(min(treated, spec.n - treated))
+        return sizes
+
+    def run(self, methods, n_matches):
+        spec = scenario("case1-I", n=50, methods=methods)
+        return run_monte_carlo(spec, self.REPS, seed=self.SEED, n_matches=n_matches,
+                               n_slices=26)
+
+    def test_failures_counted_per_replicate_and_method(self):
+        n_matches = 22
+        short = sum(size < n_matches for size in self.smaller_arms(scenario("case1-I", n=50)))
+        assert 0 < short < self.REPS
+        report = self.run(("ambient", "sdr"), n_matches)
+        ambient = report.methods["ambient"]
+        assert (ambient.failures, ambient.n_used) == (short, self.REPS - short)
+        assert np.isfinite([ambient.bias, ambient.sd, ambient.rmse]).all()
+        assert report.methods["sdr"].failures == self.REPS
+        # sdr failing in every replicate leaves ambient's values as they are alone
+        assert ambient == self.run(("ambient",), n_matches).methods["ambient"]
+
+    @pytest.mark.parametrize("n_matches, good", [(24, 1), (26, 0)])
+    def test_fewer_than_two_good_values_give_nan(self, n_matches, good):
+        sizes = self.smaller_arms(scenario("case1-I", n=50))
+        assert sum(size >= n_matches for size in sizes) == good
+        res = self.run(("ambient",), n_matches).methods["ambient"]
+        assert (res.n_used, res.failures) == (good, self.REPS - good)
+        assert np.isnan([res.bias, res.sd, res.rmse]).all()
+
+    def test_cli_reports_nan_and_exits_zero(self, capsys):
+        code = main(["simulate", "--scenario", "case1-I", "--n", "50", "--reps", "3",
+                     "--seed", str(self.SEED), "--methods", "ambient", "--m", "26"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            "method,bias,sd,rmse,truth,reps,failures",
+            "ambient,nan,nan,nan,4.25,3,3",
+        ]
