@@ -220,7 +220,7 @@ _TERM_KINDS = {"const": 0, "linear": 1, "quad": 1, "inter": 2}
 
 
 def _finite(value, what: str) -> float:
-    if isinstance(value, (int, float)) and abs(value) <= np.finfo(float).max:
+    if type(value) in (int, float) and abs(value) <= float(np.finfo(float).max):  # not bool
         return float(value)
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
@@ -240,7 +240,7 @@ def _parse_terms(raw, letter: str) -> list:
             raise ConfigError(f"scenario {letter}: term {item!r} has wrong arity")
         indices = item[1:1 + n_idx]
         for idx in indices:
-            if idx not in range(1, CASE3_P + 1):
+            if type(idx) not in (int, float) or idx not in range(1, CASE3_P + 1):
                 raise ConfigError(
                     f"scenario {letter}: term {item!r} references covariate {idx}, "
                     f"valid range is 1..{CASE3_P}"

@@ -295,12 +295,6 @@ class TestSampleValidation:
         with pytest.raises(InvalidArgument, match=rf"^{re.escape(message)}$"):
             ObservationalSample(covariates, treatment, outcome, column_names=names)
 
-    def test_empty_file_rejected(self, tmp_path):
-        f = tmp_path / "empty.csv"
-        f.write_text("", encoding="utf-8")
-        with pytest.raises(SchemaError, match="file is empty, expected a header row"):
-            load_csv(f, "T", "Y", ["a"])
-
 
 class TestStandardization:
     def test_already_standardized_group(self):

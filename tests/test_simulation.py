@@ -67,7 +67,6 @@ class TestScenarioSpecs:
         with pytest.raises(InvalidArgument, match="repeated methods: sdr"):
             scenario("case1-I", methods=("sdr", "ambient", "sdr"))
 
-
     @pytest.mark.parametrize("case, p, methods, message", [
         ("case1-I", 1, None, "p must be >= 2, got 1"),
         ("case1-III", 4, None, "model III needs p >= 5"),
@@ -273,6 +272,9 @@ MALFORMED_CONFIGS = {
     "effect-nan": (
         _set_outcome("treatment_effect", float("nan")),
         "treatment_effect must be a finite number, got nan"),
+    "intercept-beyond-float": (
+        _set_outcome("intercept", 10 ** 400),
+        f"intercept must be a finite number, got {10 ** 400}"),
     "intercept-a-string": (
         _set_outcome("intercept", "high"), "intercept must be a finite number, got 'high'"),
     "noise-sd-negative": (_set_outcome("noise_sd", -0.1), "noise_sd must be >= 0, got -0.1"),
@@ -291,6 +293,13 @@ MALFORMED_CONFIGS = {
     "term-coefficient-a-string": (
         _add_term(["linear", 2, "abc"]),
         "scenario A: term ['linear', 2, 'abc'] coefficient must be a finite number, got 'abc'"),
+    "term-index-bool": (
+        _add_term(["linear", True, 0.5]),
+        "scenario A: term ['linear', True, 0.5] references covariate True, "
+        "valid range is 1..10"),
+    "term-coefficient-bool": (
+        _add_term(["const", False]),
+        "scenario A: term ['const', False] coefficient must be a finite number, got False"),
     "term-coefficient-nan": (
         _add_term(["quad", 4, float("nan")]),
         "scenario A: term ['quad', 4, nan] coefficient must be a finite number, got nan"),
