@@ -98,6 +98,21 @@ class TestInverseSqrtSpd:
         s = inverse_sqrt_spd(m, ridge=0.0)
         assert np.abs(s @ s @ m - np.eye(4)).max() <= 1e-6
 
+    def test_default_ridge_is_scaled_mean_diagonal(self):
+        # ridge=None means 1e-8 times the mean diagonal, bit for bit; the
+        # rank-2 matrix makes the ridge set its three zero eigenvalues
+        rng = RngStream(6)
+        for rows in (9, 2):
+            a = rng.normal((rows, 5))
+            m = a.T @ a / rows
+            expected = spd_power(m, -0.5, 1e-8 * (np.trace(m) / 5))
+            assert np.array_equal(inverse_sqrt_spd(m), expected)
+
+    def test_default_ridge_of_zero_matrix_is_1e_8(self):
+        zero = np.zeros((3, 3))
+        assert np.array_equal(inverse_sqrt_spd(zero), spd_power(zero, -0.5, 1e-8))
+        assert np.allclose(inverse_sqrt_spd(zero), 1e4 * np.eye(3))
+
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPSD):
             inverse_sqrt_spd(np.diag([1.0, -0.5]))

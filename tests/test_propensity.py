@@ -53,6 +53,22 @@ class TestFitLogistic:
         assert model.intercept == 0.0
         assert not model.coefficients.any()
 
+    def test_singular_hessian_keeps_the_starting_iterate(self, monkeypatch):
+        # the start is not a solution, so the fit reaches the Newton solve
+        x = np.array([[-2.0], [-1.0], [0.5], [1.0], [2.0]])
+        t = np.array([0, 1, 0, 1, 1])
+        assert np.abs(np.column_stack([np.ones(5), x]).T @ (t - 0.5)).max() > 0.0
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(propensity.np.linalg, "solve", singular)
+        model = fit_logistic(x, t)
+        assert not model.converged
+        assert model.iterations == 0
+        assert model.intercept == 0.0
+        assert not model.coefficients.any()
+
     def test_converges_in_large_units(self):
         # a raw score entry sums 20,000 terms of size 1e6: its rounding alone
         # exceeds an absolute 1e-8, so only the unit-scale test can pass
