@@ -45,7 +45,7 @@ eig = sym_eigen(m_hat)
 print(f"eigenvalues of the slice-mean moment matrix: "
       f"{np.round(eig.eigenvalues, 4).tolist()}")
 
-rank, pvalues = sequential_rank_test(eig.eigenvalues, n, p, sliced.slice_count,
+rank, pvalues = sequential_rank_test(eig.eigenvalues, n, p, sliced.slice_sizes.size,
                                      alpha=0.05)
 print(f"sequential test p-values: {np.round(pvalues, 4).tolist()}")
 print(f"selected rank: {rank}")

@@ -35,12 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _five_number(values: np.ndarray):
     return np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -130,7 +124,7 @@ def cmd_estimate(args) -> int:
     lines = [
         f"estimand {args.estimand}",
         f"method {args.method}",
-        f"value {_fmt(result.value)}",
+        f"value {result.value!r}",
         f"rank_control {rank_control}",
         f"rank_treated {rank_treated}",
         f"n {sample.n_subjects}",
@@ -138,7 +132,7 @@ def cmd_estimate(args) -> int:
         f"control {sample.n_subjects - n_treated}",
     ]
     for mset in sorted(result.matches, key=lambda mset: mset.direction):
-        pretty = " ".join(_fmt(float(q)) for q in _five_number(mset.distances))
+        pretty = " ".join(repr(float(q)) for q in _five_number(mset.distances))
         lines.append(f"match_distance_quantiles {mset.direction} {pretty}")
     print("\n".join(lines))
 
@@ -149,8 +143,8 @@ def cmd_estimate(args) -> int:
             for i in range(sample.n_subjects):
                 imp = result.imputed[i]
                 handle.write(
-                    f"{i},{int(sample.treatment[i])},{_fmt(float(sample.outcome[i]))},"
-                    f"{_fmt(float(imp)) if np.isfinite(imp) else ''}\n"
+                    f"{i},{int(sample.treatment[i])},{float(sample.outcome[i])!r},"
+                    f"{repr(float(imp)) if np.isfinite(imp) else ''}\n"
                 )
     return 0
 
@@ -186,8 +180,8 @@ def _format_report_csv(report, header: str) -> str:
     lines = [header, "method,bias,sd,rmse,truth,reps,failures"]
     for method, res in report.methods.items():
         lines.append(
-            f"{method},{_fmt(res.bias)},{_fmt(res.sd)},{_fmt(res.rmse)},"
-            f"{_fmt(report.truth)},{report.reps},{res.failures}"
+            f"{method},{res.bias!r},{res.sd!r},{res.rmse!r},"
+            f"{report.truth!r},{report.reps},{res.failures}"
         )
     return "\n".join(lines) + "\n"
 
@@ -196,11 +190,11 @@ def _format_report_text(report, header: str) -> str:
     lines = [
         header,
         f"scenario {report.scenario} estimand {report.estimand} "
-        f"truth {_fmt(report.truth)} ({report.truth_source}) reps {report.reps}",
+        f"truth {report.truth!r} ({report.truth_source}) reps {report.reps}",
         f"{'method':<32}{'bias':>12}{'sd':>12}{'rmse':>12}{'failures':>10}",
     ]
     for method, res in report.methods.items():
-        label = _METHOD_LABELS.get(method, method)
+        label = _METHOD_LABELS[method]
         lines.append(
             f"{label:<32}{res.bias:>12.4f}{res.sd:>12.4f}{res.rmse:>12.4f}"
             f"{res.failures:>10d}"
@@ -256,11 +250,11 @@ def _histogram_rows(name: str, values: np.ndarray, treatment: np.ndarray,
         counts, _ = np.histogram(subset, bins=edges)
         qs = _five_number(subset)
         for k, stat in enumerate(("min", "q25", "median", "q75", "max")):
-            rows.append(f"{name},{label},quantile,{k},,,{_fmt(float(qs[k]))}")
+            rows.append(f"{name},{label},quantile,{k},,,{float(qs[k])!r}")
         for k in range(bins):
             rows.append(
-                f"{name},{label},bin,{k},{_fmt(float(edges[k]))},"
-                f"{_fmt(float(edges[k + 1]))},{int(counts[k])}"
+                f"{name},{label},bin,{k},{float(edges[k])!r},"
+                f"{float(edges[k + 1])!r},{int(counts[k])}"
             )
     return rows
 

@@ -16,7 +16,6 @@ __all__ = [
     "ObservationalSample",
     "StandardizationMap",
     "load_csv",
-    "write_csv",
     "fit_standardization",
     "apply_standardization",
 ]
@@ -32,7 +31,6 @@ class ObservationalSample:
     covariates: np.ndarray
     treatment: np.ndarray
     outcome: np.ndarray
-    column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         x = np.asarray(self.covariates, dtype=float)
@@ -46,8 +44,6 @@ class ObservationalSample:
             raise InvalidArgument("covariates and outcomes must be finite")
         if not np.isin(t, (0, 1)).all():
             raise InvalidArgument("treatment entries must be 0 or 1")
-        if self.column_names is not None and len(self.column_names) != x.shape[1]:
-            raise InvalidArgument("column_names length must match covariate columns")
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "treatment", t.astype(np.int64))
         object.__setattr__(self, "outcome", y)
@@ -145,7 +141,6 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
         covariates=np.ascontiguousarray(data[:, 2:]),
         treatment=data[:, 0].astype(np.int64),
         outcome=np.ascontiguousarray(data[:, 1]),
-        column_names=tuple(names[2:]),
     )
 
 
@@ -172,22 +167,6 @@ def _parse_rows(path, lines: list[str], names: list[str], columns: list[int]) ->
     return np.asarray(rows, dtype=float)
 
 
-def write_csv(sample: ObservationalSample, path, treatment: str = "treatment",
-              outcome: str = "outcome") -> None:
-    """Write a sample back out; floats use repr so reload is bit-identical."""
-    names = sample.column_names or tuple(
-        f"x{j + 1}" for j in range(sample.n_covariates)
-    )
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([treatment, outcome, *names])
-        for i in range(sample.n_subjects):
-            writer.writerow(
-                [int(sample.treatment[i]), repr(float(sample.outcome[i])),
-                 *(repr(float(v)) for v in sample.covariates[i])]
-            )
-
-
 def fit_standardization(sample: ObservationalSample, group: int) -> StandardizationMap:
     """Fit the standardizing map on one treatment group.
 
@@ -211,12 +190,9 @@ def fit_standardization(sample: ObservationalSample, group: int) -> Standardizat
 
 def apply_standardization(smap: StandardizationMap, covariates) -> np.ndarray:
     """Apply z = S (x - mean) row-wise; works on subjects from any group."""
-    x = np.asarray(covariates, dtype=float)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
+    x = np.atleast_2d(np.asarray(covariates, dtype=float))
     if x.shape[1] != smap.group_mean.shape[0]:
         raise InvalidArgument(
             f"expected {smap.group_mean.shape[0]} columns, got {x.shape[1]}"
         )
-    z = (x - smap.group_mean) @ smap.inv_sqrt_cov
-    return z[0] if squeeze else z
+    return (x - smap.group_mean) @ smap.inv_sqrt_cov

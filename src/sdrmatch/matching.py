@@ -95,9 +95,10 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
                                rank_fallback_treated=est1.rank_fallback)
         return BalancingScore(sdr.reduce_covariates(est0, x), z1, diagnostics)
     if method == "sdr-oracle":
-        return BalancingScore(x @ truth.oracle_basis_control, x @ truth.oracle_basis_treated)
+        return BalancingScore(x @ truth.spec.oracle_basis_control,
+                              x @ truth.spec.oracle_basis_treated)
     if method == "active-set-oracle":
-        return BalancingScore.ambient(x[:, list(truth.active_columns)])
+        return BalancingScore.ambient(x[:, list(truth.spec.active_columns)])
     raise InvalidArgument(f"unknown method {method!r}")
 
 

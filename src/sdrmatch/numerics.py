@@ -79,13 +79,6 @@ def _check_psd(values: np.ndarray, name: str) -> None:
         raise NotPSD(f"{name} has eigenvalue {values.min():.3e} below -{tol:.1e}")
 
 
-def default_ridge(m: np.ndarray) -> float:
-    """Scale-aware ridge: 1e-8 * mean diagonal, or 1e-8 for a zero matrix."""
-    a = np.asarray(m, dtype=float)
-    mean_diag = float(np.trace(a)) / a.shape[0]
-    return _RIDGE_SCALE * (mean_diag if mean_diag > 0.0 else 1.0)
-
-
 def spd_power(m, power: float, ridge: float = 0.0) -> np.ndarray:
     """V diag((max(lambda_i, 0) + ridge)^power) V' for a symmetric PSD matrix.
 
@@ -104,17 +97,20 @@ def spd_power(m, power: float, ridge: float = 0.0) -> np.ndarray:
 
 
 def inverse_sqrt_spd(m, ridge: float | None = None) -> np.ndarray:
-    """spd_power(m, -0.5, ridge); ridge=None means 1e-8 * trace/p.
+    """spd_power(m, -0.5, ridge); ridge=None means the scale-aware ridge
+    1e-8 * trace/p, or 1e-8 when the trace is zero.
 
     Raises:
         NotPSD: an eigenvalue is meaningfully negative.
         InvalidArgument: negative ridge.
     """
-    if ridge is None:
-        ridge = default_ridge(_as_symmetric(m))
-    elif ridge < 0.0:
+    if ridge is not None and ridge < 0.0:
         raise InvalidArgument(f"ridge must be >= 0, got {ridge}")
-    return spd_power(m, -0.5, ridge)
+    a = _as_symmetric(m)
+    if ridge is None:
+        mean_diag = float(np.trace(a)) / a.shape[0]
+        ridge = _RIDGE_SCALE * (mean_diag if mean_diag > 0.0 else 1.0)
+    return spd_power(a, -0.5, ridge)
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -148,15 +144,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        key = np.array(
-            [self.seed & _UINT64_MASK, self.stream & _UINT64_MASK], dtype=np.uint64
-        )
+        key = np.array([int(seed) & _UINT64_MASK, int(stream) & _UINT64_MASK], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStream(seed={self.seed}, stream={self.stream})"
 
     def uniform(self, size=None) -> np.ndarray:
         """Open-interval (0, 1) uniforms, one word each."""

@@ -37,14 +37,14 @@ __all__ = [
 class SlicedMoments:
     """Per-slice means of standardized covariates.
 
-    slice_count is the number of slices that survived tie collapsing, so it can
-    be smaller than the requested count for discrete outcomes.
+    The slice count H = slice_sizes.size counts the slices that survived tie
+    collapsing, so it can be smaller than the requested count for discrete
+    outcomes.
     """
 
-    slice_count: int
-    boundaries: np.ndarray      # strictly increasing upper boundaries, len slice_count
-    slice_means: np.ndarray     # (slice_count, p)
-    slice_sizes: np.ndarray     # (slice_count,), sums to the group size
+    boundaries: np.ndarray      # (H,), strictly increasing upper boundaries
+    slice_means: np.ndarray     # (H, p)
+    slice_sizes: np.ndarray     # (H,), sums to the group size
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,7 @@ def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> Slic
     means = np.empty((k, z.shape[1]))
     for j in range(k):
         means[j] = z[assignment == j].mean(axis=0)
-    return SlicedMoments(
-        slice_count=int(k),
-        boundaries=boundaries,
-        slice_means=means,
-        slice_sizes=sizes,
-    )
+    return SlicedMoments(boundaries=boundaries, slice_means=means, slice_sizes=sizes)
 
 
 def candidate_matrix(sliced: SlicedMoments) -> np.ndarray:
@@ -181,7 +176,7 @@ def estimate_central_subspace(sample: ObservationalSample, group: int,
     sliced = slice_by_quantiles(sample.outcome[members], z, n_slices)
     eig = numerics.sym_eigen(candidate_matrix(sliced))
     selected, pvalues = sequential_rank_test(
-        eig.eigenvalues, members.size, p, sliced.slice_count, alpha
+        eig.eigenvalues, members.size, p, sliced.slice_sizes.size, alpha
     )
     fallback = selected == 0
     rank = max(selected, 1)
@@ -203,5 +198,4 @@ def reduce_covariates(estimate: CentralSubspaceEstimate, covariates) -> np.ndarr
     Equivalent to standardizing through the fitting group's map and applying
     the basis; returns an (n, rank) matrix.
     """
-    x = np.atleast_2d(np.asarray(covariates, dtype=float))
-    return apply_standardization(estimate.standardization, x) @ estimate.basis
+    return apply_standardization(estimate.standardization, covariates) @ estimate.basis

@@ -339,9 +339,7 @@ def effect_function(spec: ScenarioSpec, x: np.ndarray) -> np.ndarray:
 class GeneratedData:
     sample: ObservationalSample
     true_ps: np.ndarray
-    oracle_basis_control: np.ndarray
-    oracle_basis_treated: np.ndarray
-    active_columns: tuple
+    spec: ScenarioSpec
 
 
 def _case1_arms(spec: ScenarioSpec, rng: RngStream, n: int):
@@ -416,9 +414,7 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
     return GeneratedData(
         sample=ObservationalSample(covariates=x, treatment=t, outcome=y),
         true_ps=ps,
-        oracle_basis_control=spec.oracle_basis_control,
-        oracle_basis_treated=spec.oracle_basis_treated,
-        active_columns=spec.active_columns,
+        spec=spec,
     )
 
 
@@ -479,7 +475,6 @@ class MethodResult:
     bias: float
     sd: float
     rmse: float
-    n_used: int
     failures: int
 
 
@@ -558,9 +553,7 @@ def run_monte_carlo(spec: ScenarioSpec, reps: int, seed: int = 0,
             rmse = float(np.sqrt(np.mean((good - truth) ** 2)))
         else:
             bias = sd = rmse = float("nan")
-        methods[method] = MethodResult(
-            bias=bias, sd=sd, rmse=rmse, n_used=int(good.size), failures=failures
-        )
+        methods[method] = MethodResult(bias=bias, sd=sd, rmse=rmse, failures=failures)
     return MonteCarloReport(
         scenario=spec.case,
         estimand=estimand,

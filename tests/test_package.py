@@ -1,5 +1,6 @@
 """The package's public surface: one list of names per module, re-exported in order."""
 
+import dataclasses
 import importlib
 import inspect
 
@@ -38,3 +39,15 @@ def test_surface_only_tests_used_is_gone():
     assert list(inspect.signature(sdrmatch.build_metric).parameters) == ["scores"]
     assert list(inspect.signature(sdrmatch.fit_logistic).parameters) == [
         "covariates", "treatment"]
+
+
+def test_copied_and_derivable_state_is_gone():
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert not hasattr(sdrmatch, "write_csv")
+    assert not hasattr(module("numerics"), "default_ridge")
+    assert fields(sdrmatch.ObservationalSample) == ["covariates", "treatment", "outcome"]
+    assert fields(sdrmatch.GeneratedData) == ["sample", "true_ps", "spec"]
+    assert fields(sdrmatch.MethodResult) == ["bias", "sd", "rmse", "failures"]
+    assert fields(sdrmatch.SlicedMoments) == ["boundaries", "slice_means", "slice_sizes"]

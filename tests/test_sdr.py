@@ -51,7 +51,7 @@ class TestSlicing:
         y = np.array([0.0] * 6 + [1.0, 2.0, 3.0, 4.0])
         z = np.arange(10.0).reshape(-1, 1)
         sliced = slice_by_quantiles(y, z, 5)
-        assert 2 <= sliced.slice_count <= 5
+        assert 2 <= sliced.slice_sizes.size <= 5
         assert sliced.slice_sizes.sum() == 10
 
     def test_sizes_cover_group(self):
@@ -72,14 +72,13 @@ class TestSlicing:
                 continue
             assert sliced.slice_sizes.sum() == n
             assert (sliced.slice_sizes > 0).all()
-            assert sliced.slice_sizes.shape == (sliced.slice_count,)
+            assert sliced.slice_sizes.shape == sliced.boundaries.shape
 
 
 class TestCandidateMatrix:
     def test_single_slice_zero_mean(self):
         # single slice: its mean is the standardized overall mean, i.e. zero
         sliced = SlicedMoments(
-            slice_count=1,
             boundaries=np.array([1.0]),
             slice_means=np.zeros((1, 3)),
             slice_sizes=np.array([10]),
@@ -88,7 +87,6 @@ class TestCandidateMatrix:
 
     def test_two_slice_hand_example(self):
         sliced = SlicedMoments(
-            slice_count=2,
             boundaries=np.array([0.0, 1.0]),
             slice_means=np.array([[1.0, 0.0], [-1.0, 0.0]]),
             slice_sizes=np.array([5, 5]),
@@ -97,7 +95,6 @@ class TestCandidateMatrix:
 
     def test_slices_weighted_by_size(self):
         sliced = SlicedMoments(
-            slice_count=2,
             boundaries=np.array([0.0, 1.0]),
             slice_means=np.array([[2.0], [-0.5]]),
             slice_sizes=np.array([2, 8]),
@@ -120,7 +117,7 @@ class TestCandidateMatrix:
     def test_psd(self):
         rng = RngStream(35)
         means = rng.normal((4, 3))
-        sliced = SlicedMoments(4, np.arange(4.0), means, np.full(4, 5))
+        sliced = SlicedMoments(np.arange(4.0), means, np.full(4, 5))
         from sdrmatch.numerics import sym_eigen
         values = sym_eigen(candidate_matrix(sliced)).eigenvalues
         assert values.min() >= -1e-10

@@ -385,7 +385,7 @@ class TestMonteCarloHarness:
         spec = scenario("case1-II", n=200, methods=("ambient",))
         report = run_monte_carlo(spec, 12, seed=5)
         res = report.methods["ambient"]
-        r = res.n_used
+        r = report.reps - res.failures
         lhs = res.rmse ** 2
         rhs = res.bias ** 2 + res.sd ** 2 * (r - 1) / r
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -421,7 +421,7 @@ class TestMonteCarloHarness:
         report = run_monte_carlo(spec, 60, seed=10)
         res = report.methods["sdr"]
         assert report.truth == -0.4
-        assert abs(res.bias) <= 3.0 * res.sd / np.sqrt(res.n_used)
+        assert abs(res.bias) <= 3.0 * res.sd / np.sqrt(report.reps - res.failures)
 
 
 class TestFailureAccounting:
@@ -451,7 +451,7 @@ class TestFailureAccounting:
         assert 0 < short < self.REPS
         report = self.run(("ambient", "sdr"), n_matches)
         ambient = report.methods["ambient"]
-        assert (ambient.failures, ambient.n_used) == (short, self.REPS - short)
+        assert ambient.failures == short
         assert np.isfinite([ambient.bias, ambient.sd, ambient.rmse]).all()
         assert report.methods["sdr"].failures == self.REPS
         # sdr failing in every replicate leaves ambient's values as they are alone
@@ -462,7 +462,7 @@ class TestFailureAccounting:
         sizes = self.smaller_arms(scenario("case1-I", n=50))
         assert sum(size >= n_matches for size in sizes) == good
         res = self.run(("ambient",), n_matches).methods["ambient"]
-        assert (res.n_used, res.failures) == (good, self.REPS - good)
+        assert res.failures == self.REPS - good
         assert np.isnan([res.bias, res.sd, res.rmse]).all()
 
     def test_cli_reports_nan_and_exits_zero(self, capsys):
