@@ -48,7 +48,6 @@ def _add_data_flags(parser):
 
 
 def _add_tuning_flags(parser):
-    parser.add_argument("--m", type=int, default=1, help="matches per subject")
     parser.add_argument("--slices", type=int, default=5, help="outcome slices for SIR")
     parser.add_argument("--alpha", type=float, default=0.05,
                         help="rank-test significance level, in (0, 1)")
@@ -63,6 +62,7 @@ def build_parser() -> _Parser:
     _add_data_flags(est)
     est.add_argument("--estimand", choices=("ace", "acet"), default="ace")
     est.add_argument("--method", choices=_ESTIMATE_METHODS, default="sdr")
+    est.add_argument("--m", type=int, default=1, help="matches per subject")
     _add_tuning_flags(est)
     est.add_argument("--output", help="write per-subject imputations CSV here")
 
@@ -81,6 +81,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--coef-config", help="coefficient config (required for case3)")
     sim.add_argument("--output", help="report path (default: stdout)")
     sim.add_argument("--format", choices=("csv", "text"), default="csv")
+    sim.add_argument("--m", type=int, default=1, help="matches per subject")
     _add_tuning_flags(sim)
 
     diag = sub.add_parser("diagnose", help="overlap diagnostics for reduced covariates")

@@ -237,6 +237,21 @@ class TestDiagnose:
                 ]
                 assert len(rows) == 10
 
+    def test_matches_flag_is_rejected(self, tmp_path, capsys):
+        # diagnose matches no subjects, so --m is not one of its flags
+        f = tmp_path / "toy.csv"
+        write_toy_csv(f)
+        code = main([
+            "diagnose", "--input", str(f), "--treatment", "T", "--outcome", "Y",
+            "--covariates", "a,b,c", "--m", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "--m" in captured.err
+
     def test_constant_covariate_no_crash(self, tmp_path, capsys):
         f = tmp_path / "const.csv"
         rng = np.random.default_rng(9)
