@@ -121,7 +121,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _case1_parameters(model: str, p: int):
-    """(mean1, delta1, oracle bases, active columns) for models I-IV."""
+    """(mean1, delta1, oracle bases, active columns) for models I-IV; scenario()
+    has already checked the model id."""
     e = np.eye(p)
     if model == "I":
         mean1 = np.zeros(p)
@@ -139,15 +140,13 @@ def _case1_parameters(model: str, p: int):
         basis1 = _unit(e[0] + e[1] + e[2] + e[3] + e[4])
         active = (0, 1, 2, 3, 4)
         delta1 = 0.2
-    elif model == "IV":
+    else:  # model IV
         k = np.arange(1, p + 1, dtype=float)
         mean1 = 0.5 * k / np.linalg.norm(k)
         delta1 = 0.2
         # the outcome's index direction, cov1^-1 mean1 (see _mean_outcome)
         basis0 = basis1 = _unit(np.linalg.solve(_ar1_covariance(p, delta1), mean1))
         active = tuple(range(p))
-    else:
-        raise InvalidArgument(f"unknown model {model!r}")
     return mean1, delta1, basis0, basis1, active
 
 
