@@ -196,19 +196,19 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     defines, ties going to the smaller donor index. A candidate generator
     picks, per block of queries, a set of (query, donor) pairs that holds
     each query's canonical first m; only those pairs are evaluated in the
-    canonical form and re-ranked. The generator follows the number of score
-    columns k:
+    canonical form and re-ranked. The generator, which need only keep the
+    first m of identical donor rows, follows the number of score columns k:
 
-    - k >= 2: a whitened matrix product bounds every distance and drops the
-      pairs that bound rules out. Time is O(q d k) for q queries and d
-      donors.
+    - k >= 2: one whitened product per block bounds each distance below;
+      m argmin passes set a query's cut and one compare drops the pairs
+      above it. Time is O(d log d + q d (k + m)) for q queries and d donors.
     - k = 1: the donors are sorted once, and each query reads the m donors
       on either side of its sorted position, plus any further donors tied
       with the m-th of those. Time is O(d log d + q (m + log d)) when
       distinct scores rarely tie in distance.
 
-    Each block holds at most max(2^18, d) pairs, so working memory is
-    O((max(2^18, d) + q + d) k) floats, whatever q and d are.
+    Blocks of at most max(2^18, d) pairs share buffers made once per call, so
+    working memory is O((max(2^18, d) + q + d) k) floats, whatever q and d are.
 
     Raises:
         InvalidArgument: unknown direction, n_matches < 1, scores and
@@ -280,6 +280,16 @@ def _filter_candidates(zq, zd, w, n_matches):
     """Yield (lo, hi, row, col) blocks: rows lo + row of zq paired with the
     donors zd[col], row ascending, holding every pair that a whitened bound
     cannot rule out of a query's canonical first n_matches."""
+    # Only the first m of identical donor rows can be picked. A stable sort on
+    # an exact, wrapping integer mix of each row's bits puts them in runs in
+    # index order (rows sharing a key may split a run); keep each run's first m.
+    bits = zd.view(np.uint64)
+    mix = np.cumprod(np.full(zd.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64))
+    kept = np.argsort(bits @ mix, kind="stable")
+    bits, pos, run = bits[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
+    run[1:] = (bits[1:] != bits[:-1]).any(axis=1)       # True where a run starts
+    kept = kept[pos - np.maximum.accumulate(pos * run) < n_matches]
+    zd = zd[kept]
     # Filter bound. Let inv be the computed W W' that the canonical value D
     # reads, c the donor mean, e = z - c, w = e W, diff = z_a - z_b,
     # S = |e_a|^2 + |e_b|^2 (so |diff|^2 <= 2S), L = |W|_F^2 (at least the
@@ -292,11 +302,12 @@ def _filter_candidates(zq, zd, w, n_matches):
     # C = 1e-12 covers these and the rounding of the filter's own sums up to
     # k of about 4,000; typical errors are far smaller. The expansion of a
     # squared norm rounds below 0 by less than tol, so approx +- tol also
-    # bound max(D, 0). Per row let T be the m-th smallest approx + tol. At
-    # least m donors have max(D, 0) <= T, so each donor of the canonical
-    # first m, ties included, has approx - tol <= T and is kept: the re-rank
-    # sees the exact order. |w_a|^2 is common to a row, so the filter drops
-    # it from both sides of that test.
+    # bound max(D, 0). One product of k+1 terms, -2 w_a.w_b and |w_b|^2 - tol_b,
+    # gives lower = approx - |w_a|^2 - tol_b. Over a row's m donors of smallest
+    # lower, cut = max(lower + 2 tol_b) + 2 tol_a bounds approx + tol - |w_a|^2
+    # + tol_a, so T, the m-th smallest max(D, 0), is at most cut + |w_a|^2 -
+    # tol_a. A donor of the canonical first m, ties included, has approx - tol
+    # <= T, so lower <= cut: it is kept, and the re-rank sees the exact order.
     #
     # Range. Every value the filter forms, and every term and partial sum
     # of D, is at most about 4 k^2 L max|e|^2, so when (k+1)^2 L max|e|^2 is
@@ -317,7 +328,7 @@ def _filter_candidates(zq, zd, w, n_matches):
         for lo in range(0, zq.shape[0], step):
             hi = min(lo + step, zq.shape[0])
             row, col = divmod(np.arange((hi - lo) * n_donors), n_donors)
-            yield lo, hi, row, col
+            yield lo, hi, row, kept[col]
         return
     wq, wd = eq @ w, ed @ w
     wq2, nd = np.einsum("ij,ij->i", wq, wq), np.einsum("ij,ij->i", wd, wd)
@@ -327,19 +338,23 @@ def _filter_candidates(zq, zd, w, n_matches):
     per_e = per_w * big_l
     tol_q = per_w * wq2 + per_e * eq2 + floor
     tol_d = per_w * nd + per_e * ed2 + floor
-    upper_d, lower_d = nd + tol_d, nd - tol_d
-    wq, wd = -2.0 * wq, np.ascontiguousarray(wd.T)
+    wq, wd = np.column_stack([-2.0 * wq, np.ones(zq.shape[0])]), np.vstack([wd.T, nd - tol_d])
+    buf = np.empty((min(step, zq.shape[0]), n_donors))  # reused by every block
+    mask = np.empty(buf.shape, dtype=bool)
 
     for lo in range(0, zq.shape[0], step):
         hi = min(lo + step, zq.shape[0])
-        cross = np.dot(wq[lo:hi], wd)                  # -2 w_a.w_b
-        upper = cross + upper_d
-        cut = (upper.min(axis=1) if n_matches == 1   # a row-wise partition is slower
-               else np.partition(upper, n_matches - 1, axis=1)[:, n_matches - 1])
-        cut += 2.0 * tol_q[lo:hi]
-        cross += lower_d
-        row, col = divmod(np.flatnonzero(cross <= cut[:, None]), n_donors)
-        yield lo, hi, row, col
+        lower, r = np.dot(wq[lo:hi], wd, out=buf[:hi - lo]), np.arange(hi - lo)
+        first, low = [], []
+        for _ in range(n_matches):      # m argmins beat an argpartition for small m
+            first.append(lower.argmin(axis=1))
+            low.append(lower[r, first[-1]])
+            lower[r, first[-1]] = np.inf                # hidden from the next argmin
+        cut = (np.array(low) + 2.0 * tol_d[first]).max(axis=0) + 2.0 * tol_q[lo:hi]
+        keep = np.less_equal(lower, cut[:, None], out=mask[:hi - lo])
+        keep[r, first] = True                           # the hidden m
+        row, col = divmod(np.flatnonzero(keep), n_donors)
+        yield lo, hi, row, kept[col]
 
 
 def _window_candidates(xq, xd, c, n_matches):

@@ -1,11 +1,12 @@
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sdrmatch.dataset import ObservationalSample
+from sdrmatch.dataset import ObservationalSample, load_csv
 from sdrmatch import matching
 from sdrmatch.errors import InsufficientData, InsufficientDonors, InvalidArgument, InvalidMatrix
 from sdrmatch.matching import (
@@ -21,6 +22,8 @@ from sdrmatch.matching import (
 )
 from sdrmatch.numerics import RngStream, inverse_sqrt_spd
 from sdrmatch.simulation import generate, scenario
+
+LALONDE = Path(__file__).resolve().parents[1] / "data" / "lalonde_cps3_synthetic.csv"
 
 
 def sdr_score(sample, estimand):
@@ -247,6 +250,58 @@ class TestExactness:
                 self.check(z, 1 - t, m, FOR_CONTROL)
 
     @staticmethod
+    def draw_tied_rows(rng, kind, n, k, m):
+        """Scores and treatment where many donor rows are identical."""
+        t = (rng.uniform(n) < 0.5).astype(int)
+        if kind == "all-equal":
+            return np.full((n, k), 2.5), t
+        # integer rows with one row sum: a key that sums the row ties them all
+        pool = np.array([np.roll(np.arange(k) % 3, shift) for shift in range(4)], float)
+        if kind == "equal-sums":
+            return pool[np.floor(rng.uniform(n) * 4.0).astype(int)], t
+        if kind == "m-distinct-donors":
+            # the control group holds exactly m distinct rows, each repeated
+            z = rng.normal((n, k))
+            z[t == 0] = z[:m][np.arange((t == 0).sum()) % m] + 5.0
+            return z, t
+        # interleaved-key: copies of a and b alternate; they differ only far
+        # below the resolution of the 1e6 column, so a sort key over the
+        # whole row rounds them alike and their runs interleave
+        a = np.r_[1e6, np.floor(rng.uniform(k - 1) * 3.0)]
+        b = a.copy()
+        b[1] += 2.0 ** -36
+        z = np.where(np.arange(n)[:, None] % 2 == 0, a, b)
+        z[::5] = a + np.floor(rng.uniform((z[::5].shape[0], k)) * 3.0)
+        return z, t
+
+    @pytest.mark.parametrize("kind", ["all-equal", "equal-sums", "m-distinct-donors",
+                                      "interleaved-key"])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_duplicate_donor_rows(self, kind, k):
+        # identical donor rows tie for every query, and only the first m of
+        # them can be picked
+        rng = RngStream(73)
+        for m in range(1, 6):
+            z, t = self.draw_tied_rows(rng, kind, 2 * m + 26, k, m)
+            if t.sum() < m or (1 - t).sum() < m:
+                continue
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                self.check(z, t, m, direction)
+
+    @pytest.mark.parametrize("k", [8, 10])
+    def test_identical_rows_far_apart(self, k):
+        # a BLAS matrix-vector product may round identical rows apart when
+        # they sit in different blocks of its kernel (here the last rows of
+        # 31 or 33), so a sort key it computed could misorder them
+        rng = RngStream(77)
+        for n_donors in (31, 33):
+            row = np.round(rng.normal(k) * 10.0 ** np.floor(rng.uniform(k) * 6.0 - 2.0), 3)
+            z = np.vstack([np.tile(row, (n_donors, 1)), rng.normal((4, k)) + row])
+            t = np.r_[np.zeros(n_donors, dtype=int), np.ones(4, dtype=int)]
+            for m in (1, 2, 3):
+                self.check(z, t, m, FOR_TREATED)
+
+    @staticmethod
     def draw_column(rng, kind, n):
         if kind == "integer":
             return np.floor(rng.uniform(n) * 4.0)
@@ -431,6 +486,50 @@ class TestExactness:
         z = rng.normal((n, p))
         t = (rng.uniform(n) < 0.5).astype(int)
         assert self.traced_peak(z, t, 1) < 64 * 2**20
+
+    def test_memory_stays_bounded_at_large_n_several_matches(self):
+        rng = RngStream(76)
+        n, p = 20_000, 10
+        z = rng.normal((n, p))
+        t = (rng.uniform(n) < 0.5).astype(int)
+        assert self.traced_peak(z, t, 3) < 64 * 2**20
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_all_tied_rows_reach_the_re_rank_once(self, monkeypatch, m):
+        # every donor ties with every other for every query: unless duplicate
+        # donors are dropped, all (n/2)^2 pairs go to the canonical re-rank
+        canonical, seen = matching._squared_distances, []
+
+        def counting(diff, inv):
+            seen.append(diff.shape[0])
+            return canonical(diff, inv)
+
+        monkeypatch.setattr(matching, "_squared_distances", counting)
+        n = 20_000
+        z = np.ones((n, 10))
+        t = (RngStream(75).uniform(n) < 0.5).astype(int)
+        assert self.traced_peak(z, t, m) < 64 * 2**20
+        assert sum(seen) <= t.sum() * m
+
+    def test_filter_keeps_few_pairs_on_shipped_csv(self, monkeypatch):
+        # the ambient ACE on the shipped CSV re-ranks at most 210 pairs
+        # for-treated and 453 for-control; a looser cut, such as one that
+        # takes the largest donor tolerance for every donor, keeps thousands
+        sample = load_csv(LALONDE, "treat", "re78", ["age", "educ", "black", "hisp",
+                                                     "married", "nodegr", "re74", "re75",
+                                                     "u74", "u75"])
+        canonical, seen = matching._squared_distances, []
+
+        def counting(diff, inv):
+            seen.append(diff.shape[0])
+            return canonical(diff, inv)
+
+        monkeypatch.setattr(matching, "_squared_distances", counting)
+        metric = build_metric(sample.covariates)
+        for direction, most in ((FOR_TREATED, 210), (FOR_CONTROL, 453)):
+            seen.clear()
+            find_matches(sample.covariates, sample.treatment, metric, 1, direction)
+            assert sum(seen) <= most
 
     @pytest.mark.parametrize("equal", [False, True])
     def test_memory_stays_bounded_one_column(self, equal):
