@@ -264,14 +264,15 @@ class TestExactness:
             z = rng.normal((n, k))
             z[t == 0] = z[:m][np.arange((t == 0).sum()) % m] + 5.0
             return z, t
-        # interleaved-key: copies of a and b alternate; they differ only far
-        # below the resolution of the 1e6 column, so a sort key over the
-        # whole row rounds them alike and their runs interleave
-        a = np.r_[1e6, np.floor(rng.uniform(k - 1) * 3.0)]
+        # interleaved-key: copies of a and of b, a with two columns negated,
+        # alternate. Each negation flips bit 63 of one column, so a wrapping
+        # integer mix of the row bits with odd multipliers gives a and b one
+        # key, and their runs interleave in a stable sort
+        a = np.floor(rng.uniform(k) * 3.0) + 1.0
         b = a.copy()
-        b[1] += 2.0 ** -36
+        b[:2] *= -1.0
         z = np.where(np.arange(n)[:, None] % 2 == 0, a, b)
-        z[::5] = a + np.floor(rng.uniform((z[::5].shape[0], k)) * 3.0)
+        z[::5] = np.floor(rng.uniform((z[::5].shape[0], k)) * 3.0)
         return z, t
 
     @pytest.mark.parametrize("kind", ["all-equal", "equal-sums", "m-distinct-donors",
@@ -494,10 +495,9 @@ class TestExactness:
         t = (rng.uniform(n) < 0.5).astype(int)
         assert self.traced_peak(z, t, 3) < 64 * 2**20
 
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_all_tied_rows_reach_the_re_rank_once(self, monkeypatch, m):
-        # every donor ties with every other for every query: unless duplicate
-        # donors are dropped, all (n/2)^2 pairs go to the canonical re-rank
+    @staticmethod
+    def count_reranked_pairs(monkeypatch):
+        """A list that receives the pair count of each canonical re-rank call."""
         canonical, seen = matching._squared_distances, []
 
         def counting(diff, inv):
@@ -505,6 +505,13 @@ class TestExactness:
             return canonical(diff, inv)
 
         monkeypatch.setattr(matching, "_squared_distances", counting)
+        return seen
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_all_tied_rows_reach_the_re_rank_once(self, monkeypatch, m):
+        # every donor ties with every other for every query: unless duplicate
+        # donors are dropped, all (n/2)^2 pairs go to the canonical re-rank
+        seen = self.count_reranked_pairs(monkeypatch)
         n = 20_000
         z = np.ones((n, 10))
         t = (RngStream(75).uniform(n) < 0.5).astype(int)
@@ -518,13 +525,7 @@ class TestExactness:
         sample = load_csv(LALONDE, "treat", "re78", ["age", "educ", "black", "hisp",
                                                      "married", "nodegr", "re74", "re75",
                                                      "u74", "u75"])
-        canonical, seen = matching._squared_distances, []
-
-        def counting(diff, inv):
-            seen.append(diff.shape[0])
-            return canonical(diff, inv)
-
-        monkeypatch.setattr(matching, "_squared_distances", counting)
+        seen = self.count_reranked_pairs(monkeypatch)
         metric = build_metric(sample.covariates)
         for direction, most in ((FOR_TREATED, 210), (FOR_CONTROL, 453)):
             seen.clear()
