@@ -321,12 +321,21 @@ class TestExactness:
             z = np.floor(rng.uniform(n) * 8.0)
             z[::4] = 2.0 ** 55 + 8.0 * np.floor(rng.uniform(z[::4].size) * 3.0)
             return z
+        if kind == "subnormal-grid":
+            # multiples of the smallest subnormal: differences are exact and
+            # every canonical d2 underflows to 0
+            return (np.floor(rng.uniform(n) * 9.0) - 4.0) * 5e-324
+        if kind == "ulp-grid":
+            # neighbouring doubles above 1
+            return 1.0 + np.floor(rng.uniform(n) * 30.0) * 2.0 ** -52
         z = rng.normal(n)
-        scale = {"offset": 1.0, "tiny": 1e-8, "large": 1e8, "near-1e150": 1e150}[kind]
+        scale = {"offset": 1.0, "tiny": 1e-8, "large": 1e8, "near-1e150": 1e150,
+                 "near-1e-170": 1e-170}[kind]
         return z * scale + (1e6 if kind == "offset" else 0.0)
 
     @pytest.mark.parametrize("kind", ["integer", "midway", "all-equal", "long-runs", "far",
-                                      "offset", "tiny", "large", "near-1e150"])
+                                      "offset", "tiny", "large", "near-1e150", "near-1e-170",
+                                      "subnormal-grid", "ulp-grid"])
     def test_one_column(self, kind):
         # one score column takes the sorted-window search, not the filter
         rng = RngStream(68)
@@ -342,6 +351,23 @@ class TestExactness:
                     self.check(z, t, m, direction)
                 checked += 1
         assert checked >= 25
+
+    @pytest.mark.parametrize("w", [1e-160, 1e150, 0.0])
+    def test_one_column_extreme_metric(self, w):
+        # c = w^2 is subnormal, near the top of the range or 0: canonical d2
+        # ties at 0 or a few subnormal steps, or every donor ties
+        rng = RngStream(78)
+        metric = MahalanobisMetric(np.array([[w]]))
+        for m in range(1, 6):
+            for kind in ("integer", "offset", "tiny", "near-1e-170", "subnormal-grid",
+                         "ulp-grid"):
+                n = 2 * m + 10 + int(rng.uniform() * 40)
+                z = self.draw_column(rng, kind, n)[:, None]
+                t = (rng.uniform(n) < 0.5).astype(int)
+                if t.sum() < m or (1 - t).sum() < m:
+                    continue
+                for direction in (FOR_TREATED, FOR_CONTROL):
+                    self.check(z, t, m, direction, metric)
 
     def test_one_query_per_block(self, monkeypatch):
         # with a budget below d, each block holds as few queries as fit in d
