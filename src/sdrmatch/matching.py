@@ -196,16 +196,17 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     defines, ties going to the smaller donor index. A candidate generator
     picks, per block of queries, a set of (query, donor) pairs that holds
     each query's canonical first m; only those pairs are evaluated in the
-    canonical form and re-ranked. The generator, which need only keep the
-    first m of identical donor rows, follows the number of score columns k:
+    canonical form and re-ranked. Identical donor rows tie for every query,
+    so only the first m of each are kept; the generator follows the number
+    of score columns k:
 
     - k >= 2: one whitened product per block bounds each distance below;
       m argmin passes set a query's cut and one compare drops the pairs
       above it. Time is O(d log d + q d (k + m)) for q queries and d donors.
-    - k = 1: the donors are sorted once, and each query reads the m donors
-      on either side of its sorted position, plus any further donors tied
-      with the m-th of those. Time is O(d log d + q (m + log d)) when
-      distinct scores rarely tie in distance.
+    - k = 1: the donors are sorted by score; the m-th smallest distance to
+      the m donors either side of a query bounds a value interval around it
+      that holds its first m, read off by two bisections. Time is
+      O(d log d + q (m + log d)) when distinct scores rarely tie in distance.
 
     Blocks of at most max(2^18, d) pairs share buffers made once per call, so
     working memory is O((max(2^18, d) + q + d) k) floats, whatever q and d are.
@@ -251,7 +252,18 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
             f"{donors.size} donors available, {n_matches} matches requested"
         )
 
+    # Only the first m of identical donor rows can be picked. A stable sort on
+    # the score for k = 1 (the order the window search reads), else on an exact,
+    # wrapping integer mix of each row's bits, puts them in runs in index order
+    # (rows sharing a key may split a run); keep each run's first m.
     zq, zd = z[queries], z[donors]
+    bits = zd.view(np.uint64)
+    mix = np.cumprod(np.full(z.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64))
+    kept = np.argsort(zd[:, 0] if z.shape[1] == 1 else bits @ mix, kind="stable")
+    bits, pos, run = bits[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
+    run[1:] = (bits[1:] != bits[:-1]).any(axis=1)       # True where a run starts
+    donors = donors[kept[pos - np.maximum.accumulate(pos * run) < n_matches]]
+    zd = z[donors]
     if z.shape[1] == 1:
         blocks = _window_candidates(zq[:, 0], zd[:, 0], inv[0, 0], n_matches)
     else:
@@ -260,11 +272,12 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     d2_picked = np.empty((queries.size, n_matches))
     for lo, hi, row, col in blocks:
         d2 = _squared_distances(zq[lo + row] - zd[col], inv)
+        col = donors[col]                   # ties break by sample index
         # row is ascending, so each row's run starts where it did before sorting
         order = np.lexsort((col, d2, row))
         counts = np.bincount(row, minlength=hi - lo)
         first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n_matches)]
-        picked[lo:hi] = donors[col[first]]
+        picked[lo:hi] = col[first]
         d2_picked[lo:hi] = d2[first]
     if not np.isfinite(d2_picked).all():
         raise InvalidArgument("a squared match distance overflows; rescale the scores")
@@ -280,16 +293,6 @@ def _filter_candidates(zq, zd, w, n_matches):
     """Yield (lo, hi, row, col) blocks: rows lo + row of zq paired with the
     donors zd[col], row ascending, holding every pair that a whitened bound
     cannot rule out of a query's canonical first n_matches."""
-    # Only the first m of identical donor rows can be picked. A stable sort on
-    # an exact, wrapping integer mix of each row's bits puts them in runs in
-    # index order (rows sharing a key may split a run); keep each run's first m.
-    bits = zd.view(np.uint64)
-    mix = np.cumprod(np.full(zd.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64))
-    kept = np.argsort(bits @ mix, kind="stable")
-    bits, pos, run = bits[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
-    run[1:] = (bits[1:] != bits[:-1]).any(axis=1)       # True where a run starts
-    kept = kept[pos - np.maximum.accumulate(pos * run) < n_matches]
-    zd = zd[kept]
     # Filter bound. Let inv be the computed W W' that the canonical value D
     # reads, c the donor mean, e = z - c, w = e W, diff = z_a - z_b,
     # S = |e_a|^2 + |e_b|^2 (so |diff|^2 <= 2S), L = |W|_F^2 (at least the
@@ -327,8 +330,7 @@ def _filter_candidates(zq, zd, w, n_matches):
     if not (k + 1) ** 2 * big_l * e2_max < 2.0 ** 1000:
         for lo in range(0, zq.shape[0], step):
             hi = min(lo + step, zq.shape[0])
-            row, col = divmod(np.arange((hi - lo) * n_donors), n_donors)
-            yield lo, hi, row, kept[col]
+            yield lo, hi, *divmod(np.arange((hi - lo) * n_donors), n_donors)
         return
     wq, wd = eq @ w, ed @ w
     wq2, nd = np.einsum("ij,ij->i", wq, wq), np.einsum("ij,ij->i", wd, wd)
@@ -353,60 +355,36 @@ def _filter_candidates(zq, zd, w, n_matches):
         cut = (np.array(low) + 2.0 * tol_d[first]).max(axis=0) + 2.0 * tol_q[lo:hi]
         keep = np.less_equal(lower, cut[:, None], out=mask[:hi - lo])
         keep[r, first] = True                           # the hidden m
-        row, col = divmod(np.flatnonzero(keep), n_donors)
-        yield lo, hi, row, kept[col]
+        yield lo, hi, *divmod(np.flatnonzero(keep), n_donors)
 
 
-def _window_candidates(xq, xd, c, n_matches):
+def _window_candidates(xq, xs, c, n_matches):
     """Yield (lo, hi, row, col) blocks like _filter_candidates for one score
-    column: xq and xd are the query and donor scores, c the 1 x 1 inverse
-    covariance's entry."""
-    # The canonical d2 of a pair is fl(fl(diff c) diff) with diff = fl(x_a - x_b),
-    # which d2() below gives up to the sign of a zero.
-    # Rounding is monotone and symmetric in sign, so among the donors below a
-    # query, and among those at or above it, d2 never falls with distance
-    # in sorted order. Donors with equal scores tie for every query, and only
-    # the first m of such a run (the smallest indices) can be picked.
-    m = n_matches
-    order = np.argsort(xd, kind="stable")
-    xs = xd[order]
-    keep = np.r_[np.ones(m, dtype=bool), xs[m:] != xs[:-m]]
-    order, xs = order[keep], xs[keep]
-    size = xs.size                          # at least m
-
-    def d2(rows, pos):
-        diff = xq[rows] - xs[pos]
-        return diff * c * diff
-
-    def first_true(a, b, test):
-        # per row, the smallest i in [a, b) where test(i) holds, b if none;
-        # test must hold from some i on
-        while (a < b).any():
-            mid = (a + b) // 2
-            ok = test(np.minimum(mid, size - 1))
-            a, b = np.where(ok | (a == b), a, mid + 1), np.where(ok, mid, b)
-        return a
-
-    # Per query the m donors either side of its split hold every donor with
-    # d2 below T, the m-th smallest d2 among them; donors tied at T may run
-    # past them on either side and are found by bisection.
+    column: xq are the query scores, xs the donor scores, sorted and
+    collapsed (see find_matches), and c the 1 x 1 inverse covariance's entry."""
+    # The canonical d2 of a pair is fl(fl(|diff| c) |diff|), diff = fl(x_a - x_b).
+    # T, a query's m-th smallest d2 among the m donors either side of its
+    # sorted position, is at least its m-th smallest over all donors. With
+    # u = 2^-53 and e = 2^-1075, fl(y) >= y (1 - u) - e for y >= 0, and a
+    # difference whose result is subnormal is exact, so d2 <= T forces
+    # |x_a - x_b| <= (e / c + sqrt(T + e) / sqrt(c)) / (1 - u)^2. r exceeds
+    # that bound (sqrt((T + e) / c) would underflow to 0 at T = 0 once c >~ 1),
+    # and nextafter widens the interval by one more step each side. c = 0
+    # gives r = inf: every donor ties.
+    m, size = n_matches, xs.size            # size >= m
     split = np.searchsorted(xs, xq, side="left")
-    start, stop = np.maximum(split - m, 0), np.minimum(split + m, size)
-    offsets = np.arange(-m, m)
+    cut = np.empty(xq.size)
     step = max(1, max(_BLOCK_ENTRIES, size) // (2 * m))
     for lo in range(0, xq.size, step):
-        rows = np.arange(lo, min(lo + step, xq.size))
-        pos = split[rows, None] + offsets
-        inside = (pos >= 0) & (pos < size)
-        window = np.where(inside, d2(rows[:, None], np.clip(pos, 0, size - 1)), np.inf)
-        cut = np.partition(window, m - 1, axis=1)[:, m - 1]
-        a, b = start[rows], stop[rows]
-        grow = (a > 0) & (d2(rows, np.maximum(a - 1, 0)) <= cut)
-        start[rows] = first_true(np.where(grow, 0, a), np.where(grow, a - 1, a),
-                                 lambda i: d2(rows, i) <= cut)
-        grow = (b < size) & (d2(rows, np.minimum(b, size - 1)) <= cut)
-        stop[rows] = first_true(np.where(grow, b + 1, b), np.where(grow, size, b),
-                                lambda i: d2(rows, i) > cut)
+        pos = split[lo:lo + step, None] + np.arange(-m, m)
+        diff = xq[lo:lo + step, None] - np.take(xs, pos, mode="clip")
+        window = np.where((pos >= 0) & (pos < size), diff * c * diff, np.inf)
+        cut[lo:lo + step] = np.partition(window, m - 1, axis=1)[:, m - 1]
+    tiny = 2.0 ** -1074
+    with np.errstate(divide="ignore", over="ignore"):
+        r = (tiny / c + np.sqrt(cut + tiny) / np.sqrt(c)) * (1.0 + 2.0 ** -48)
+        start = np.searchsorted(xs, np.nextafter(xq - r, -np.inf), side="left")
+        stop = np.searchsorted(xs, np.nextafter(xq + r, np.inf), side="right")
 
     # Blocks of whole queries with at most max(2^18, d) candidates each; one
     # query has at most d. Candidate f of the flat list sits at sorted
@@ -418,7 +396,7 @@ def _window_candidates(xq, xd, c, n_matches):
         base = ends[lo - 1] if lo else 0
         hi = int(np.searchsorted(ends, base + max(_BLOCK_ENTRIES, size), side="right"))
         row = np.repeat(np.arange(hi - lo), stop[lo:hi] - start[lo:hi])
-        yield lo, hi, row, order[np.arange(base, ends[hi - 1]) + shift[lo:hi][row]]
+        yield lo, hi, row, np.arange(base, ends[hi - 1]) + shift[lo:hi][row]
         lo = hi
 
 

@@ -544,19 +544,52 @@ class TestExactness:
         assert self.traced_peak(z, t, m) < 64 * 2**20
         assert sum(seen) <= t.sum() * m
 
+    @staticmethod
+    def shipped_sample():
+        return load_csv(LALONDE, "treat", "re78", ["age", "educ", "black", "hisp", "married",
+                                                   "nodegr", "re74", "re75", "u74", "u75"])
+
     def test_filter_keeps_few_pairs_on_shipped_csv(self, monkeypatch):
         # the ambient ACE on the shipped CSV re-ranks at most 210 pairs
         # for-treated and 453 for-control; a looser cut, such as one that
         # takes the largest donor tolerance for every donor, keeps thousands
-        sample = load_csv(LALONDE, "treat", "re78", ["age", "educ", "black", "hisp",
-                                                     "married", "nodegr", "re74", "re75",
-                                                     "u74", "u75"])
+        sample = self.shipped_sample()
         seen = self.count_reranked_pairs(monkeypatch)
         metric = build_metric(sample.covariates)
         for direction, most in ((FOR_TREATED, 210), (FOR_CONTROL, 453)):
             seen.clear()
             find_matches(sample.covariates, sample.treatment, metric, 1, direction)
             assert sum(seen) <= most
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_column_re_ranks_about_m_pairs(self, monkeypatch, m):
+        # on tie-free scores a query's value interval holds its first m and
+        # at most a few neighbours a rounding error away; the 2m donors around
+        # it would double the count, and an unbounded interval would send all
+        seen = self.count_reranked_pairs(monkeypatch)
+        rng = RngStream(80)
+        n = 5_000
+        z = rng.normal((n, 1))
+        t = (rng.uniform(n) < 0.5).astype(int)
+        metric = build_metric(z)
+        for direction in (FOR_TREATED, FOR_CONTROL):
+            seen.clear()
+            matched = find_matches(z, t, metric, m, direction)
+            assert sum(seen) <= 1.01 * matched.query_indices.size * m
+
+    @pytest.mark.parametrize("m, most", [(1, (185, 429)), (3, (557, 1293))])
+    def test_one_column_keeps_few_pairs_on_shipped_csv(self, monkeypatch, m, most):
+        # the ps-logistic ACE on the shipped CSV, whose scores tie often;
+        # reading every donor in the 2m window re-ranked 357 + 792 pairs at
+        # m = 1 and 1,056 + 2,194 at m = 3
+        sample = self.shipped_sample()
+        score = balancing_score("ps-logistic", sample, estimand="ace", n_slices=5, alpha=0.05)
+        seen = self.count_reranked_pairs(monkeypatch)
+        metric = build_metric(score.into_control)
+        for direction, bound in zip((FOR_TREATED, FOR_CONTROL), most):
+            seen.clear()
+            find_matches(score.into_control, sample.treatment, metric, m, direction)
+            assert sum(seen) <= bound
 
     @pytest.mark.parametrize("equal", [False, True])
     def test_memory_stays_bounded_one_column(self, equal):
