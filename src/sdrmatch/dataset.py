@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics
-from .errors import InsufficientData, InvalidArgument, ParseError, SchemaError
+from .errors import InsufficientData, InvalidArgument, InvalidMatrix, ParseError, SchemaError
 
 __all__ = [
     "ObservationalSample",
@@ -176,6 +176,7 @@ def fit_standardization(sample: ObservationalSample, group: int) -> Standardizat
 
     Raises:
         InsufficientData: fewer than p + 1 subjects in the group.
+        InvalidMatrix: the group's covariance overflows.
     """
     rows = sample.covariates[sample.group_indices(group)]
     p = sample.n_covariates
@@ -183,8 +184,11 @@ def fit_standardization(sample: ObservationalSample, group: int) -> Standardizat
         raise InsufficientData(
             f"group {group} has {rows.shape[0]} subjects; need at least {p + 1}"
         )
-    mean = rows.mean(axis=0)
-    cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        mean, cov = rows.mean(axis=0), np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+    if not np.isfinite(cov).all():
+        raise InvalidMatrix(f"the covariate covariance in group {group} is not finite; "
+                            "rescale the covariates")
     return StandardizationMap(group_mean=mean, inv_sqrt_cov=numerics.inverse_sqrt_spd(cov))
 
 

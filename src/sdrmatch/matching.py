@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics, sdr
 from .dataset import ObservationalSample
-from .errors import InsufficientDonors, InvalidArgument
+from .errors import InsufficientDonors, InvalidArgument, InvalidMatrix
 from .propensity import fit_logistic, predict_ps
 
 __all__ = [
@@ -156,7 +156,10 @@ def build_metric(scores) -> MahalanobisMetric:
     z = np.atleast_2d(np.asarray(scores, dtype=float))
     if z.shape[0] < 2:
         raise InvalidArgument("need at least 2 rows to pool a covariance")
-    cov = np.atleast_2d(np.cov(z, rowvar=False, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        cov = np.atleast_2d(np.cov(z, rowvar=False, ddof=1))
+    if not np.isfinite(cov).all():
+        raise InvalidMatrix("the score covariance is not finite; rescale the scores")
     return MahalanobisMetric(numerics.inverse_sqrt_spd(cov))
 
 

@@ -15,11 +15,12 @@ COEF_CONFIG = REPO / "configs" / "case3_coefficients.json"
 LALONDE_COVARIATES = "age,educ,black,hisp,married,nodegr,re74,re75,u74,u75"
 
 
-def write_toy_csv(path, n=60, seed=3):
+def write_toy_csv(path, n=60, seed=3, scale=1.0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 3))
     t = (rng.uniform(size=n) < 0.5).astype(int)
     y = x[:, 0] + t + 0.1 * rng.normal(size=n)
+    x *= scale
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("T,Y,a,b,c\n")
         for i in range(n):
@@ -412,6 +413,31 @@ class TestErrorFormat:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {f}: file is empty, expected a header row\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--method", "ambient"],
+         "the score covariance is not finite; rescale the scores"),
+        (["estimate", "--method", "sdr"],
+         "the covariate covariance in group 0 is not finite; rescale the covariates"),
+        (["diagnose"],
+         "the covariate covariance in group 0 is not finite; rescale the covariates"),
+    ])
+    def test_overflowing_covariance_exits_three(self, tmp_path, argv, message):
+        # a fresh interpreter, since pytest captures the RuntimeWarning that
+        # numpy would print above the error line
+        f = tmp_path / "huge.csv"
+        write_toy_csv(f, scale=1e200)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "sdrmatch", argv[0], "--input", str(f), "--treatment", "T",
+             "--outcome", "Y", "--covariates", "a,b,c", *argv[1:]],
+            cwd=REPO, env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
     def test_missing_file(self, capsys):
         code = main([
