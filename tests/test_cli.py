@@ -270,6 +270,27 @@ class TestDiagnose:
         assert "propensity," in out
 
 
+class TestOutputFile:
+    """--output writes exactly the bytes the same run prints without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "case1-II", "--n", "200", "--reps", "4", "--seed", "5",
+         "--methods", "ambient,sdr"],
+        ["simulate", "--scenario", "case1-II", "--n", "200", "--reps", "4", "--seed", "5",
+         "--methods", "ambient,sdr", "--format", "text"],
+        ["diagnose", "--input", str(LALONDE), "--treatment", "treat", "--outcome", "re78",
+         "--covariates", LALONDE_COVARIATES, "--bins", "7"],
+    ])
+    def test_file_bytes_equal_stdout_bytes(self, tmp_path, argv, capsysbinary):
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        out_file = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out_file)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out_file.read_bytes() == printed
+        assert printed.startswith(b"# sdrmatch ")
+
+
 def write_separated_csv(path, n=40):
     """T = 1 exactly when a > 0: the logistic MLE does not exist."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -737,6 +737,25 @@ class TestEstimators:
         assert np.array_equal(acet.matches[0].query_indices, np.flatnonzero(t == 1))
 
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("seed", [71, 72, 73, 74])
+    def test_value_is_the_mean_contrast_bit_for_bit(self, k, m, seed):
+        # scores rounded to one decimal, so most queries tie with several donors
+        rng = RngStream(seed)
+        n = 80
+        x = np.round(rng.normal((n, k)), 1)
+        t = (rng.uniform(n) < 0.4).astype(np.int64)
+        y = rng.normal(n) + t
+        sample = ObservationalSample(x, t, y)
+        score = BalancingScore.ambient(x)
+        tr = t == 1
+        acet = estimate(sample, score, "acet", m)
+        assert acet.value == float((y[tr] - acet.imputed[tr]).mean())
+        ace = estimate(sample, score, "ace", m)
+        assert ace.value == float(((2 * t - 1) * (y - ace.imputed)).mean())
+
+
 class TestPipelineAndInvariants:
     def test_metric_affine_invariance(self):
         rng = RngStream(55)

@@ -78,6 +78,30 @@ class TestSymEigen:
                 kernel(np.empty((0, 0)))
 
 
+class TestKernelMessages:
+    """The three kernels that validate a matrix raise the same words."""
+
+    _KERNELS = (sym_eigen, lambda m: spd_power(m, 0.5), inverse_sqrt_spd)
+
+    @pytest.mark.parametrize("m, message", [
+        (np.ones((2, 3)), "matrix must be square, got shape (2, 3)"),
+        (np.empty((0, 0)), "matrix is empty (0 x 0)"),
+        ([[np.nan]], "matrix contains non-finite entries"),
+        ([[1.0, 2.0], [0.0, 1.0]], "matrix is not symmetric within tolerance"),
+    ])
+    def test_invalid_matrix_messages(self, m, message):
+        for kernel in self._KERNELS:
+            with pytest.raises(InvalidMatrix) as info:
+                kernel(m)
+            assert str(info.value) == message
+
+    def test_not_psd_message(self):
+        for kernel in self._KERNELS[1:]:
+            with pytest.raises(NotPSD) as info:
+                kernel(np.diag([1.0, -0.5]))
+            assert str(info.value) == "matrix has eigenvalue -5.000e-01 below -1.0e-10"
+
+
 class TestInverseSqrtSpd:
     def test_identity(self):
         assert np.allclose(inverse_sqrt_spd(np.eye(2), ridge=0.0), np.eye(2))
