@@ -138,15 +138,14 @@ def cmd_estimate(args) -> int:
     print("\n".join(lines))
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(_header_line("estimate", args) + "\n")
-            handle.write("subject,treatment,outcome,imputed\n")
-            for i in range(sample.n_subjects):
-                imp = result.imputed[i]
-                handle.write(
-                    f"{i},{int(sample.treatment[i])},{float(sample.outcome[i])!r},"
-                    f"{repr(float(imp)) if np.isfinite(imp) else ''}\n"
-                )
+        rows = [_header_line(args), "subject,treatment,outcome,imputed"]
+        for i in range(sample.n_subjects):
+            imp = result.imputed[i]
+            rows.append(
+                f"{i},{int(sample.treatment[i])},{float(sample.outcome[i])!r},"
+                f"{repr(float(imp)) if np.isfinite(imp) else ''}"
+            )
+        _write("\n".join(rows) + "\n", args.output)
     return 0
 
 
@@ -154,7 +153,7 @@ def cmd_estimate(args) -> int:
 # simulate
 # =============================================================================
 
-def _header_line(command: str, args) -> str:
+def _header_line(args) -> str:
     skip = {"command", "threads", "output"}
     pairs = []
     for key in sorted(vars(args)):
@@ -164,7 +163,16 @@ def _header_line(command: str, args) -> str:
         if value is None:
             continue
         pairs.append(f"{key.replace('_', '-')}={value}")
-    return f"# sdrmatch {__version__} {command} " + " ".join(pairs)
+    return f"# sdrmatch {__version__} {args.command} " + " ".join(pairs)
+
+
+def _write(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 _METHOD_LABELS = {
@@ -221,17 +229,13 @@ def cmd_simulate(args) -> int:
         spec, args.reps, seed=args.seed, n_matches=args.m, n_slices=args.slices,
         alpha=args.alpha, threads=args.threads, estimand=args.estimand,
     )
-    header = _header_line("simulate", args)
+    header = _header_line(args)
     text = (
         _format_report_csv(report, header)
         if args.format == "csv"
         else _format_report_text(report, header)
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.output)
     return 0
 
 
@@ -268,18 +272,13 @@ def cmd_diagnose(args) -> int:
     reduced = _balancing_score("sdr", sample, args, "acet").into_control
     scores = _balancing_score("ps-logistic", sample, args, "acet").into_control[:, 0]
 
-    rows = [_header_line("diagnose", args), "variable,group,kind,index,lower,upper,value"]
+    rows = [_header_line(args), "variable,group,kind,index,lower,upper,value"]
     for j in range(reduced.shape[1]):
         rows.extend(
             _histogram_rows(f"reduced_{j + 1}", reduced[:, j], sample.treatment, args.bins)
         )
     rows.extend(_histogram_rows("propensity", scores, sample.treatment, args.bins))
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(rows) + "\n", args.output)
     return 0
 
 

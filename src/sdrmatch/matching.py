@@ -142,7 +142,7 @@ class CausalEstimate:
     value: float
     imputed: np.ndarray           # per-subject imputed Y(1-T); NaN where not required
     matches: tuple[MatchedSet, ...]
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def build_metric(scores) -> MahalanobisMetric:
@@ -414,10 +414,10 @@ def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str =
     average effect on the treated ("acet").
 
     Imputes Y(0) for every treated subject from its control-group matches on
-    the into_control score. For the ACE it also imputes Y(1) for every control
-    from its treated-group matches on the into_treated score and averages the
-    completed contrasts over all n subjects; the ACET averages them over the
-    treated only, and controls' imputations stay NaN.
+    the into_control score; the ACE also imputes Y(1) for every control from
+    its treated-group matches on the into_treated score (the ACET leaves them
+    NaN). The value averages one contrast, (2T - 1)(Y - imputed Y(1 - T)),
+    over the imputed subjects: all n for the ACE, the treated for the ACET.
 
     Raises:
         InvalidArgument: unknown estimand, or an ACE without an into_treated
@@ -438,10 +438,5 @@ def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str =
     imputed = np.full(sample.n_subjects, np.nan)
     for mset in matched:
         imputed[mset.query_indices] = impute(sample, mset)
-    treated = matched[0].query_indices
-    if estimand == "ace":
-        # treated contribute Y(1) - imputed Y(0), controls imputed Y(1) - Y(0)
-        value = float(((2 * t - 1) * (y - imputed)).mean())
-    else:
-        value = float((y[treated] - imputed[treated]).mean())
+    value = float(((2 * t - 1) * (y - imputed))[~np.isnan(imputed)].mean())
     return CausalEstimate(estimand, value, imputed, tuple(matched), dict(score.diagnostics))

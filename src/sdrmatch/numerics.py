@@ -40,17 +40,17 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _as_symmetric(m, name: str = "matrix") -> np.ndarray:
+def _as_symmetric(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
+        raise InvalidMatrix(f"matrix must be square, got shape {a.shape}")
     if a.size == 0:
-        raise InvalidMatrix(f"{name} is empty (0 x 0)")
+        raise InvalidMatrix("matrix is empty (0 x 0)")
     if not np.isfinite(a).all():
-        raise InvalidMatrix(f"{name} contains non-finite entries")
+        raise InvalidMatrix("matrix contains non-finite entries")
     scale = 1.0 + np.abs(a).max()
     if np.abs(a - a.T).max() > _SYMMETRY_RTOL * scale:
-        raise InvalidMatrix(f"{name} is not symmetric within tolerance")
+        raise InvalidMatrix("matrix is not symmetric within tolerance")
     return 0.5 * (a + a.T)
 
 
@@ -73,12 +73,6 @@ def sym_eigen(m) -> EigenDecomposition:
     return EigenDecomposition(values, vectors * signs)
 
 
-def _check_psd(values: np.ndarray, name: str) -> None:
-    tol = _PSD_RTOL * max(1.0, float(np.abs(values).max()))
-    if float(values.min()) < -tol:
-        raise NotPSD(f"{name} has eigenvalue {values.min():.3e} below -{tol:.1e}")
-
-
 def spd_power(m, power: float, ridge: float = 0.0) -> np.ndarray:
     """V diag((max(lambda_i, 0) + ridge)^power) V' for a symmetric PSD matrix.
 
@@ -88,7 +82,9 @@ def spd_power(m, power: float, ridge: float = 0.0) -> np.ndarray:
     """
     a = _as_symmetric(m)
     values, vectors = np.linalg.eigh(a)
-    _check_psd(values, "matrix")
+    tol = _PSD_RTOL * max(1.0, float(np.abs(values).max()))
+    if float(values.min()) < -tol:
+        raise NotPSD(f"matrix has eigenvalue {values.min():.3e} below -{tol:.1e}")
     scaled = np.maximum(values, 0.0) + ridge
     with np.errstate(divide="ignore"):
         powered = scaled ** power

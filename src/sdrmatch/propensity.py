@@ -93,7 +93,6 @@ def fit_logistic(covariates, treatment) -> LogisticModel:
     eta = design @ beta
     loglik = _log_likelihood(y, eta)
     converged = False
-    iterations = 0
     for iterations in range(_MAX_ITER + 1):
         prob = _sigmoid(eta)
         residual = y - prob

@@ -18,7 +18,7 @@ aggregates bias/SD/RMSE against the scenario's true effect.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -330,8 +330,7 @@ def _mean_outcome(spec: ScenarioSpec, x: np.ndarray, t) -> np.ndarray:
 
 def effect_function(spec: ScenarioSpec, x: np.ndarray) -> np.ndarray:
     """Per-subject effect Y(1) - Y(0) as a function of covariates (noise-free)."""
-    ones = np.ones(x.shape[0])
-    return _mean_outcome(spec, x, ones) - _mean_outcome(spec, x, 0.0 * ones)
+    return _mean_outcome(spec, x, 1.0) - _mean_outcome(spec, x, 0.0)
 
 
 @dataclass(frozen=True)
@@ -484,7 +483,7 @@ class MonteCarloReport:
     truth: float
     truth_source: str
     reps: int
-    methods: dict = field(default_factory=dict)   # method id -> MethodResult
+    methods: dict   # method id -> MethodResult
 
 
 def _one_replicate(spec: ScenarioSpec, rep: int, seed: int, estimand: str,
