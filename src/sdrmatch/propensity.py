@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DegenerateLabels, InvalidArgument, NotPSD
+from .errors import DegenerateLabels, InvalidArgument, InvalidMatrix, NotPSD
 
 __all__ = [
     "LogisticModel",
@@ -79,6 +79,7 @@ def fit_logistic(covariates, treatment) -> LogisticModel:
 
     Raises:
         DegenerateLabels: treatment contains a single class.
+        InvalidMatrix: the gradient or Hessian overflows (covariates near 1e200).
     """
     x = np.atleast_2d(np.asarray(covariates, dtype=float))
     y = np.asarray(treatment, dtype=float)
@@ -98,14 +99,18 @@ def fit_logistic(covariates, treatment) -> LogisticModel:
         residual = y - prob
         if np.abs(residual).max() < 10.0 * _TOL:
             break  # saturated fit: separation, MLE at infinity
-        gradient = design.T @ residual
+        with np.errstate(over="ignore", invalid="ignore"):
+            gradient = design.T @ residual
         if (np.abs(gradient) / column_size).max() <= _TOL:
             converged = True
             break
         if iterations == _MAX_ITER:
             break
         weights = prob * (1.0 - prob)
-        hessian = design.T @ (design * weights[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            hessian = design.T @ (design * weights[:, None])
+        if not (np.isfinite(gradient).all() and np.isfinite(hessian).all()):
+            raise InvalidMatrix("the logistic Hessian is not finite; rescale the covariates")
         hessian[np.diag_indices_from(hessian)] += 1e-12
         try:
             step = np.linalg.solve(hessian, gradient)

@@ -442,6 +442,8 @@ class TestErrorFormat:
          "the covariate covariance in group 0 is not finite; rescale the covariates"),
         (["diagnose"],
          "the covariate covariance in group 0 is not finite; rescale the covariates"),
+        (["estimate", "--method", "ps-logistic"],
+         "the logistic Hessian is not finite; rescale the covariates"),
     ])
     def test_overflowing_covariance_exits_three(self, tmp_path, argv, message):
         # a fresh interpreter, since pytest captures the RuntimeWarning that

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdrmatch import propensity
-from sdrmatch.errors import DegenerateLabels, InvalidArgument, NotPSD
+from sdrmatch.errors import DegenerateLabels, InvalidArgument, InvalidMatrix, NotPSD
 from sdrmatch.numerics import RngStream
 from sdrmatch.propensity import (
     GaussianMixtureDesign,
@@ -82,6 +82,28 @@ class TestFitLogistic:
         assert model.iterations < 20
         unit = fit_logistic(z, t)
         assert np.allclose(model.coefficients * 1e6, unit.coefficients, rtol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200])
+    def test_overflowing_hessian_raises_typed_error(self, scale):
+        # the Hessian sums squared covariates: near 1e154 and above it overflows,
+        # and the fit used to go on from an infinite matrix to all-0.5 propensities
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(60, 3))
+        t = (rng.uniform(size=60) < 0.5).astype(int)
+        with pytest.raises(InvalidMatrix) as info:
+            fit_logistic(x * scale, t)
+        assert str(info.value) == "the logistic Hessian is not finite; rescale the covariates"
+
+    def test_fits_just_below_the_overflow(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(60, 3))
+        t = (rng.uniform(size=60) < 0.5).astype(int)
+        unit = fit_logistic(x, t)
+        for scale in (1e150, 1e153):
+            model = fit_logistic(x * scale, t)
+            assert model.converged
+            assert model.intercept == pytest.approx(unit.intercept, rel=1e-12)
+            assert np.allclose(model.coefficients * scale, unit.coefficients, rtol=1e-12)
 
     def test_gradient_small_at_reported_convergence(self):
         rng = RngStream(41)
