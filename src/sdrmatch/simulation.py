@@ -405,7 +405,8 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
             ps = true_ps_bayes(spec.design, x)
         else:
             x = _case3_covariates(rng, n)
-            ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.design.terms(spec.model), x)))
+            with np.errstate(over="ignore"):  # exp(-logit) = inf gives ps = 0
+                ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.design.terms(spec.model), x)))
         t = (rng.uniform(n) < ps).astype(np.int64)
     eps = rng.normal(n) * spec.noise_sd
     y = _mean_outcome(spec, x, t) + eps

@@ -237,6 +237,23 @@ class TestCase3Generator:
         np.testing.assert_allclose(data.true_ps, expected, rtol=1e-15, atol=0.0)
         assert np.ptp(data.true_ps) > 0.5
 
+    def test_overflowing_logit_gives_zero_ps_without_a_warning(self, tmp_path, capsys):
+        # exp(800) overflows to inf, and 1 / (1 + inf) = 0 is the intended propensity
+        path = tmp_path / "coefficients.json"
+        path.write_bytes(_set_scenarios({"A": [["const", -800.0], ["linear", 4, 0.8]]}))
+        data = generate(scenario("case3-A", n=100, coefficients=load_case3_config(path)),
+                        RngStream(76, 0))
+        assert (data.true_ps == 0.0).all()
+        code = main(["simulate", "--scenario", "case3-A", "--n", "100", "--reps", "2",
+                     "--methods", "ambient", "--coef-config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            "method,bias,sd,rmse,truth,reps,failures",
+            "ambient,nan,nan,nan,-0.4,2,2",
+        ]
+
 
 def _edited_config(edit) -> bytes:
     cfg = json.loads(COEF_CONFIG.read_text(encoding="utf-8"))
