@@ -79,7 +79,7 @@ def fit_logistic(covariates, treatment) -> LogisticModel:
 
     Raises:
         DegenerateLabels: treatment contains a single class.
-        InvalidMatrix: the gradient or Hessian overflows (covariates near 1e200).
+        InvalidMatrix: the gradient or Hessian is not finite (covariates too large to square).
     """
     x = np.atleast_2d(np.asarray(covariates, dtype=float))
     y = np.asarray(treatment, dtype=float)

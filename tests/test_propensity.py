@@ -85,8 +85,7 @@ class TestFitLogistic:
 
     @pytest.mark.parametrize("scale", [1e154, 1e200])
     def test_overflowing_hessian_raises_typed_error(self, scale):
-        # the Hessian sums squared covariates: near 1e154 and above it overflows,
-        # and the fit used to go on from an infinite matrix to all-0.5 propensities
+        # the Hessian sums squared covariates, so from about 1e154 it overflows
         rng = np.random.default_rng(3)
         x = rng.normal(size=(60, 3))
         t = (rng.uniform(size=60) < 0.5).astype(int)
