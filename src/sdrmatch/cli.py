@@ -137,7 +137,7 @@ def cmd_estimate(args) -> int:
         lines.append(f"match_distance_quantiles {mset.direction} {pretty}")
     print("\n".join(lines))
 
-    if args.output:
+    if args.output is not None:
         rows = [_header_line(args), "subject,treatment,outcome,imputed"]
         for i in range(sample.n_subjects):
             imp = result.imputed[i]
@@ -168,7 +168,7 @@ def _header_line(args) -> str:
 
 def _write(text: str, path) -> None:
     """Write text to the file at path, or to stdout when no path is given."""
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

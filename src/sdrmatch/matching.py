@@ -182,10 +182,11 @@ def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 
 # Candidate blocks hold at most max(this, d) (query, donor) entries: 2 MiB
-# per float64 array.
-_BLOCK_ENTRIES = 1 << 18
+# per float32 array.
+_BLOCK_ENTRIES = 1 << 19
 # Floating-point error allowed per score dimension, about 4500 unit roundoffs.
 _ROUNDING = 1e-12
+_ARGMIN_MOST = 24      # above this m, one argpartition beats m argmin passes
 
 
 def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
@@ -200,19 +201,20 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     picks, per block of queries, a set of (query, donor) pairs that holds
     each query's canonical first m; only those pairs are evaluated in the
     canonical form and re-ranked. Identical donor rows tie for every query,
-    so only the first m of each are kept; the generator follows the number
-    of score columns k:
+    so only the first m of each are kept; with q queries and d donors, the
+    generator follows the number of score columns k:
 
-    - k >= 2: one whitened product per block bounds each distance below;
-      m argmin passes set a query's cut and one compare drops the pairs
-      above it. Time is O(d log d + q d (k + m)) for q queries and d donors.
+    - k >= 2: per block, a whitened product (float32 where its range allows)
+      bounds each distance below, the m lowest (by m argmin passes, or one
+      argpartition above m = 24) set each query's cut, and a min pass finds
+      the few queries with more under it. Time is O(d log d + q d (k + m)).
     - k = 1: the donors are sorted by score; the m-th smallest distance to
       the m donors either side of a query bounds a value interval around it
       that holds its first m, read off by two bisections. Time is
       O(d log d + q (m + log d)) when distinct scores rarely tie in distance.
 
-    Blocks of at most max(2^18, d) pairs share buffers made once per call, so
-    working memory is O((max(2^18, d) + q + d) k) floats, whatever q and d are.
+    Blocks of at most max(2^19, d) pairs (2 MiB in float32) share a buffer
+    made once per call: working memory is O((max(2^19, d) + q + d) k) floats.
 
     Raises:
         InvalidArgument: unknown direction, n_matches < 1, scores and
@@ -276,7 +278,7 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     for lo, hi, row, col in blocks:
         d2 = _squared_distances(zq[lo + row] - zd[col], inv)
         col = donors[col]                   # ties break by sample index
-        # row is ascending, so each row's run starts where it did before sorting
+        # lexsort groups pairs by row, so row j's run starts at sum(counts[:j])
         order = np.lexsort((col, d2, row))
         counts = np.bincount(row, minlength=hi - lo)
         first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n_matches)]
@@ -294,35 +296,34 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
 
 def _filter_candidates(zq, zd, w, n_matches):
     """Yield (lo, hi, row, col) blocks: rows lo + row of zq paired with the
-    donors zd[col], row ascending, holding every pair that a whitened bound
-    cannot rule out of a query's canonical first n_matches."""
+    donors zd[col], holding every pair that a whitened bound cannot rule out
+    of a query's canonical first n_matches."""
     # Filter bound. Let inv be the computed W W' that the canonical value D
-    # reads, c the donor mean, e = z - c, w = e W, diff = z_a - z_b,
-    # S = |e_a|^2 + |e_b|^2 (so |diff|^2 <= 2S), L = |W|_F^2 (at least the
-    # norm of |W||W|', so of |inv|) and u = 2^-53. The expansion
-    # approx = |w_a|^2 + |w_b|^2 - 2 w_a.w_b differs from D by at most
-    #   - the rounding of D, a sum of k^2 products: (k^2+2) u L 2S;
-    #   - plus the rounding of inv, of e and of e W: O(k u L S);
-    #   - plus the rounding of the expansion: O(k u (|w_a|^2 + |w_b|^2)).
-    # tol = tol_a + tol_b with tol_x = C (k+1) (|w_x|^2 + L |e_x|^2) and
-    # C = 1e-12 covers these and the rounding of the filter's own sums up to
-    # k of about 4,000; typical errors are far smaller. The expansion of a
-    # squared norm rounds below 0 by less than tol, so approx +- tol also
-    # bound max(D, 0). One product of k+1 terms, -2 w_a.w_b and |w_b|^2 - tol_b,
-    # gives lower = approx - |w_a|^2 - tol_b. Over a row's m donors of smallest
-    # lower, cut = max(lower + 2 tol_b) + 2 tol_a bounds approx + tol - |w_a|^2
-    # + tol_a, so T, the m-th smallest max(D, 0), is at most cut + |w_a|^2 -
-    # tol_a. A donor of the canonical first m, ties included, has approx - tol
-    # <= T, so lower <= cut: it is kept, and the re-rank sees the exact order.
-    #
-    # Range. Every value the filter forms, and every term and partial sum
-    # of D, is at most about 4 k^2 L max|e|^2, so when (k+1)^2 L max|e|^2 is
-    # below 2^1000 nothing overflows; above it, every pair goes to the
-    # re-rank. Underflow adds at most 2^-1075 to a product, which later
-    # products scale by up to |diff|^2 <= 4 max|e|^2 (D, through inv) or
-    # max|w| (the filter). The floor (k+1)^3 2^-1070 (1 + max|e| + max|w|)^2,
-    # added to each tol_x, covers these, so the bound still holds where tol
-    # itself underflows.
+    # reads, c the donor mean, e = z - c, w = e W, diff = z_a - z_b, S = |e_a|^2
+    # + |e_b|^2 (so |diff|^2 <= 2S), L = |W|_F^2 (at least the norm of |W||W|',
+    # so of |inv|) and u = 2^-53. approx = |w_a|^2 + |w_b|^2 - 2 w_a.w_b differs
+    # from D by the rounding of D, a sum of k^2 products ((k^2+2) u L 2S), of
+    # inv, e and e W (O(k u L S)) and of the expansion (O(k u (|w_a|^2 + |w_b|^2))).
+    # tau = tau_a + tau_b with tau_x = C (k+1) (|w_x|^2 + L |e_x|^2) and
+    # C = 1e-12 covers these up to k of about 4,000, and approx +- tau bound
+    # max(D, 0). lower, the product of [-2 w_a, 1] and [w_b, |w_b|^2 - tol_b]
+    # rounded to float32 (v = 2^-24) or float64 (v = u) and summed in any order,
+    # with or without FMA, is within (k+3) v (|w_a|^2 + 2 |w_b|^2 + tol_b) of
+    # approx - |w_a|^2 - tol_b. In float32, tol_x is tau_x with C' = 1e-5 (about
+    # 170 v) for C on |w_x|^2, which covers that for k below 1,000; in float64,
+    # tol = tau and C's slack covers it. Over a row's m donors of smallest
+    # lower, D <= lower + 2 tol_b + |w_a|^2 + tol_a, so with cut = max(lower +
+    # 2 tol_b) + 2 tol_a, rounded upward, T, the m-th smallest max(D, 0), is at
+    # most cut + |w_a|^2 - tol_a. A donor of the canonical first m, ties
+    # included, has approx - tau <= T, so lower <= cut: it is kept, and the
+    # re-rank sees the exact order.
+    # Range. Every value the filter forms, and every term and partial sum of
+    # D, is at most about 4 k^2 L max|e|^2: float64 holds them when (k+1)^2 L
+    # max|e|^2 < 2^1000 (else every pair goes to the re-rank), float32 when it
+    # is < 2^100. Underflow adds at most 2^-1075 (2^-150 in float32) to an input
+    # or product, scaled later by up to 4 max|e|^2 (D) or 2 max|w| (lower); the
+    # floor (k+1)^3 (s (1 + max|e| + max|w|))^2, s = 2^-535 (2^-70), added to
+    # each tol_x covers this. Float32 needs its floor under 2^-30 max|w|^2.
     k, n_donors = zq.shape[1], zd.shape[0]
     centre = zd.mean(axis=0)
     eq, ed = zq - centre, zd - centre
@@ -331,34 +332,43 @@ def _filter_candidates(zq, zd, w, n_matches):
     e2_max = max(eq2.max(), ed2.max())
     step = max(1, _BLOCK_ENTRIES // n_donors)
     if not (k + 1) ** 2 * big_l * e2_max < 2.0 ** 1000:
+        step = max(1, step // 2)        # the re-rank holds k floats per pair, three times
         for lo in range(0, zq.shape[0], step):
             hi = min(lo + step, zq.shape[0])
             yield lo, hi, *divmod(np.arange((hi - lo) * n_donors), n_donors)
         return
     wq, wd = eq @ w, ed @ w
     wq2, nd = np.einsum("ij,ij->i", wq, wq), np.einsum("ij,ij->i", wd, wd)
-    floor = (k + 1) ** 3 * (
-        2.0 ** -535 * (1.0 + np.sqrt(e2_max) + np.sqrt(max(wq2.max(), nd.max())))) ** 2
-    per_w = _ROUNDING * (k + 1)
-    per_e = per_w * big_l
+    w2_max = max(wq2.max(), nd.max())
+    spread = (k + 1) ** 1.5 * (1.0 + np.sqrt(e2_max) + np.sqrt(w2_max))
+    dtype, per_w, s = ((np.float32, 1e-5, -70) if (k + 1) ** 2 * big_l * e2_max < 2.0 ** 100
+                       and spread ** 2 < 2.0 ** 110 * w2_max else (np.float64, _ROUNDING, -535))
+    floor, per_w, per_e = (2.0 ** s * spread) ** 2, per_w * (k + 1), _ROUNDING * (k + 1) * big_l
     tol_q = per_w * wq2 + per_e * eq2 + floor
     tol_d = per_w * nd + per_e * ed2 + floor
-    wq, wd = np.column_stack([-2.0 * wq, np.ones(zq.shape[0])]), np.vstack([wd.T, nd - tol_d])
-    buf = np.empty((min(step, zq.shape[0]), n_donors))  # reused by every block
-    mask = np.empty(buf.shape, dtype=bool)
+    wq = np.column_stack([-2.0 * wq, np.ones(zq.shape[0])]).astype(dtype)
+    wd = np.vstack([wd.T, nd - tol_d]).astype(dtype)
+    buf = np.empty((min(step, zq.shape[0]), n_donors), dtype)  # reused by every block
 
     for lo in range(0, zq.shape[0], step):
         hi = min(lo + step, zq.shape[0])
         lower, r = np.dot(wq[lo:hi], wd, out=buf[:hi - lo]), np.arange(hi - lo)
-        first, low = [], []
-        for _ in range(n_matches):      # m argmins beat an argpartition for small m
-            first.append(lower.argmin(axis=1))
-            low.append(lower[r, first[-1]])
-            lower[r, first[-1]] = np.inf                # hidden from the next argmin
+        if n_matches > _ARGMIN_MOST:
+            first = np.argpartition(lower, n_matches - 1, axis=1)[:, :n_matches].T
+            low = lower[r, first]
+            lower[r, first] = np.inf
+        else:
+            first, low = [], []
+            for _ in range(n_matches):
+                first.append(lower.argmin(axis=1))
+                low.append(lower[r, first[-1]])
+                lower[r, first[-1]] = np.inf            # hidden from the next argmin
         cut = (np.array(low) + 2.0 * tol_d[first]).max(axis=0) + 2.0 * tol_q[lo:hi]
-        keep = np.less_equal(lower, cut[:, None], out=mask[:hi - lo])
-        keep[r, first] = True                           # the hidden m
-        yield lo, hi, *divmod(np.flatnonzero(keep), n_donors)
+        cut = np.nextafter(cut.astype(dtype), np.inf)   # rounded upward
+        more = np.flatnonzero(lower.min(axis=1) <= cut)  # rows that keep more than their m
+        row, col = np.nonzero(lower[more] <= cut[more, None])
+        yield (lo, hi, np.concatenate([np.repeat(r, n_matches), more[row]]),
+               np.concatenate([np.ravel(first, order="F"), col]))
 
 
 def _window_candidates(xq, xs, c, n_matches):

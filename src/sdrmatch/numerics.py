@@ -144,9 +144,9 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def uniform(self, size=None) -> np.ndarray:
-        """Open-interval (0, 1) uniforms, one word each."""
+        """Open-interval (0, 1) uniforms, one word each; the top word maps below 1."""
         raw = self._gen.integers(0, 1 << 53, size=size, dtype=np.int64)
-        return (raw.astype(np.float64) + 0.5) * _INV_2POW53
+        return np.minimum((raw.astype(np.float64) + 0.5) * _INV_2POW53, 1.0 - _INV_2POW53)
 
     def normal(self, size=None) -> np.ndarray:
         """Standard normals via the inverse CDF, one uniform per draw."""

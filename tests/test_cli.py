@@ -291,6 +291,21 @@ class TestOutputFile:
         assert printed.startswith(b"# sdrmatch ")
 
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--input", str(LALONDE), "--treatment", "treat", "--outcome", "re78",
+         "--covariates", LALONDE_COVARIATES, "--method", "ambient"],
+        ["simulate", "--scenario", "case1-II", "--n", "200", "--reps", "2", "--seed", "5",
+         "--methods", "ambient"],
+        ["diagnose", "--input", str(LALONDE), "--treatment", "treat", "--outcome", "re78",
+         "--covariates", LALONDE_COVARIATES, "--bins", "7"],
+    ], ids=["estimate", "simulate", "diagnose"])
+    def test_empty_path_exits_two(self, argv, capsys):
+        # "" names no file that can be opened; it does not mean stdout
+        assert main([*argv, "--output", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def write_separated_csv(path, n=40):
     """T = 1 exactly when a > 0: the logistic MLE does not exist."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -381,6 +381,79 @@ class TestExactness:
                 for direction in (FOR_TREATED, FOR_CONTROL):
                     self.check(z, t, m, direction)
 
+    @pytest.mark.parametrize("argmin_most", [matching._ARGMIN_MOST, 0],
+                             ids=["argmin-passes", "argpartition"])
+    def test_many_matches_one_query_per_block(self, monkeypatch, argmin_most):
+        # m = 6-10 on tied integer rows, one query per block; with the
+        # threshold at 0 every m takes the one-selection branch
+        monkeypatch.setattr(matching, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(matching, "_ARGMIN_MOST", argmin_most)
+        rng = RngStream(79)
+        for k in (2, 3, 10):
+            for m in range(6, 11):
+                n = 2 * m + 30
+                z = np.floor(rng.uniform((n, k)) * 3.0)
+                t = (rng.uniform(n) < 0.5).astype(int)
+                if t.sum() < m or (1 - t).sum() < m:
+                    continue
+                for direction in (FOR_TREATED, FOR_CONTROL):
+                    self.check(z, t, m, direction)
+
+    @staticmethod
+    def product_dtypes(monkeypatch):
+        """A list that receives the dtype of each filter product (np.dot with out=)."""
+        dot, seen = np.dot, []
+
+        def recording(a, b, out=None):
+            if out is not None:
+                seen.append(out.dtype)
+            return dot(a, b, out=out)
+
+        monkeypatch.setattr(np, "dot", recording)
+        return seen
+
+    @pytest.mark.parametrize("side", ["float32", "float64"])
+    @pytest.mark.parametrize("switch", ["range", "floor"])
+    def test_float32_switch(self, monkeypatch, switch, side):
+        # W = c I sets a quantity at twice or half its float32 threshold:
+        # "range", 2^100 / ((k+1)^2 L max|e|^2), with c near 2^45, where every
+        # product value fits float32; "floor", 2^-30 max|w|^2 over the float32
+        # floor, with c near 2^-53, where the cut stays sharp
+        seen = self.product_dtypes(monkeypatch)
+        factor = 2.0 if side == "float32" else 0.5
+        rng = RngStream(85)
+        for k in (2, 3):
+            z = rng.normal((30, k))
+            t = (rng.uniform(30) < 0.5).astype(int)
+            for direction, label in ((FOR_TREATED, 1), (FOR_CONTROL, 0)):
+                e = z - z[t != label].mean(axis=0)
+                e_max = np.sqrt((e * e).sum(axis=1).max())
+                if switch == "range":
+                    c = 2.0 ** 50 / ((k + 1) * np.sqrt(k) * e_max) / np.sqrt(factor)
+                else:
+                    c = (k + 1) ** 1.5 * (1.0 + e_max) / (2.0 ** 55 * e_max) * np.sqrt(factor)
+                for m in range(1, 6):
+                    seen.clear()
+                    self.check(z, t, m, direction, MahalanobisMetric(c * np.eye(k)))
+                    assert seen and set(seen) == {np.dtype(side)}
+
+    def test_float32_where_w_underflows(self, monkeypatch):
+        # most rows lie within 1e-22 of 0, so their |w|^2 of about 1e-44 and
+        # their products are float32 subnormals or 0; rows at +-1 in both
+        # groups keep max|w|^2 near 1, the donor mean near 0 and float32 on
+        seen = self.product_dtypes(monkeypatch)
+        rng = RngStream(86)
+        for rep in range(8):
+            k = 2 + rep % 2
+            z = rng.normal((30, k)) * 1e-22
+            z[:4] = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+            t = (rng.uniform(30) < 0.5).astype(int)
+            t[:4] = [1, 1, 0, 0]
+            for m in range(1, 6):
+                for direction in (FOR_TREATED, FOR_CONTROL):
+                    self.check(z, t, m, direction, MahalanobisMetric(np.eye(k)))
+        assert set(seen) == {np.dtype(np.float32)}
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.lists(st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 1.0, 3.0]),
                               st.integers(0, 1)), min_size=2, max_size=40),
@@ -559,6 +632,21 @@ class TestExactness:
         for direction, most in ((FOR_TREATED, 210), (FOR_CONTROL, 453)):
             seen.clear()
             find_matches(sample.covariates, sample.treatment, metric, 1, direction)
+            assert sum(seen) <= most
+
+    def test_filter_keeps_few_pairs_on_normal_scores(self, monkeypatch):
+        # ambient m = 1 on seeded 10-D normal scores: the float32 bound
+        # re-ranked 2,501 pairs for 2,486 treated queries and 2,528 for 2,514
+        # controls; a tolerance ten times looser re-ranks 2,625 and 2,649
+        seen = self.count_reranked_pairs(monkeypatch)
+        rng = RngStream(81)
+        n = 5_000
+        z = rng.normal((n, 10))
+        t = (rng.uniform(n) < 0.5).astype(int)
+        metric = build_metric(z)
+        for direction, most in ((FOR_TREATED, 2_550), (FOR_CONTROL, 2_580)):
+            seen.clear()
+            find_matches(z, t, metric, 1, direction)
             assert sum(seen) <= most
 
     @pytest.mark.parametrize("m", [1, 3])

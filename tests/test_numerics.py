@@ -241,6 +241,18 @@ class TestRngStream:
         u = RngStream(0).uniform(10000)
         assert u.min() > 0.0 and u.max() < 1.0
 
+    def test_top_word_stays_below_one(self):
+        # (2^53 - 1 + 0.5) 2^-53 rounds to 1.0, whose normal is +inf; the
+        # uniform is clamped to 1 - 2^-53, and the next word keeps its value
+        class Words:
+            def integers(self, low, high, size=None, dtype=None):
+                return np.array([2 ** 53 - 1, 2 ** 53 - 2], dtype=dtype)[:size]
+
+        rng = RngStream(0)
+        rng._gen = Words()
+        assert rng.uniform(2).tolist() == [1.0 - 2.0 ** -53, (2.0 ** 53 - 2.0 + 0.5) * 2.0 ** -53]
+        assert np.isfinite(rng.normal(2)).all()
+
     def test_normal_moments(self):
         z = RngStream(9).normal(100000)
         assert abs(z.mean()) < 0.02
