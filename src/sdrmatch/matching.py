@@ -341,9 +341,9 @@ def _filter_candidates(zq, zd, w, n_matches):
     wq2, nd = np.einsum("ij,ij->i", wq, wq), np.einsum("ij,ij->i", wd, wd)
     w2_max = max(wq2.max(), nd.max())
     spread = (k + 1) ** 1.5 * (1.0 + np.sqrt(e2_max) + np.sqrt(w2_max))
-    dtype, per_w, s = ((np.float32, 1e-5, -70) if (k + 1) ** 2 * big_l * e2_max < 2.0 ** 100
-                       and spread ** 2 < 2.0 ** 110 * w2_max else (np.float64, _ROUNDING, -535))
-    floor, per_w, per_e = (2.0 ** s * spread) ** 2, per_w * (k + 1), _ROUNDING * (k + 1) * big_l
+    dtype, c_w, s = ((np.float32, 1e-5, -70) if (k + 1) ** 2 * big_l * e2_max < 2.0 ** 100
+                     and spread ** 2 < 2.0 ** 110 * w2_max else (np.float64, _ROUNDING, -535))
+    floor, per_w, per_e = (2.0 ** s * spread) ** 2, c_w * (k + 1), _ROUNDING * (k + 1) * big_l
     tol_q = per_w * wq2 + per_e * eq2 + floor
     tol_d = per_w * nd + per_e * ed2 + floor
     wq = np.column_stack([-2.0 * wq, np.ones(zq.shape[0])]).astype(dtype)
