@@ -181,12 +181,11 @@ def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-# Candidate blocks hold at most max(this, d) (query, donor) entries: 2 MiB
-# per float32 array.
-_BLOCK_ENTRIES = 1 << 19
+# Candidate blocks hold at most max(this / itemsize, d) (query, donor)
+# entries: 2^18 per float64 array, 2^19 per float32 one.
+_BLOCK_BYTES = 1 << 21
 # Floating-point error allowed per score dimension, about 4500 unit roundoffs.
 _ROUNDING = 1e-12
-_ARGMIN_MOST = 24      # above this m, one argpartition beats m argmin passes
 
 
 def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
@@ -205,16 +204,17 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     generator follows the number of score columns k:
 
     - k >= 2: per block, a whitened product (float32 where its range allows)
-      bounds each distance below, the m lowest (by m argmin passes, or one
-      argpartition above m = 24) set each query's cut, and a min pass finds
-      the few queries with more under it. Time is O(d log d + q d (k + m)).
+      bounds each distance below, m argmin passes over the m lowest set each
+      query's cut, and a min pass finds the few queries with more under it.
+      Time is O(d log d + q d (k + m)).
     - k = 1: the donors are sorted by score; the m-th smallest distance to
       the m donors either side of a query bounds a value interval around it
       that holds its first m, read off by two bisections. Time is
       O(d log d + q (m + log d)) when distinct scores rarely tie in distance.
 
-    Blocks of at most max(2^19, d) pairs (2 MiB in float32) share a buffer
-    made once per call: working memory is O((max(2^19, d) + q + d) k) floats.
+    Blocks of at most max(2^18, d) pairs, 2^19 for a float32 product (2 MiB
+    either way), share a buffer made once per call: working memory is
+    O((max(2^19, d) + q + d) k) floats.
 
     Raises:
         InvalidArgument: unknown direction, n_matches < 1, scores and
@@ -330,9 +330,8 @@ def _filter_candidates(zq, zd, w, n_matches):
     eq2, ed2 = np.einsum("ij,ij->i", eq, eq), np.einsum("ij,ij->i", ed, ed)
     big_l = np.einsum("ij,ij->", w, w)
     e2_max = max(eq2.max(), ed2.max())
-    step = max(1, _BLOCK_ENTRIES // n_donors)
     if not (k + 1) ** 2 * big_l * e2_max < 2.0 ** 1000:
-        step = max(1, step // 2)        # the re-rank holds k floats per pair, three times
+        step = max(1, _BLOCK_BYTES // 8 // n_donors)
         for lo in range(0, zq.shape[0], step):
             hi = min(lo + step, zq.shape[0])
             yield lo, hi, *divmod(np.arange((hi - lo) * n_donors), n_donors)
@@ -348,21 +347,17 @@ def _filter_candidates(zq, zd, w, n_matches):
     tol_d = per_w * nd + per_e * ed2 + floor
     wq = np.column_stack([-2.0 * wq, np.ones(zq.shape[0])]).astype(dtype)
     wd = np.vstack([wd.T, nd - tol_d]).astype(dtype)
+    step = max(1, _BLOCK_BYTES // wq.itemsize // n_donors)
     buf = np.empty((min(step, zq.shape[0]), n_donors), dtype)  # reused by every block
 
     for lo in range(0, zq.shape[0], step):
         hi = min(lo + step, zq.shape[0])
         lower, r = np.dot(wq[lo:hi], wd, out=buf[:hi - lo]), np.arange(hi - lo)
-        if n_matches > _ARGMIN_MOST:
-            first = np.argpartition(lower, n_matches - 1, axis=1)[:, :n_matches].T
-            low = lower[r, first]
-            lower[r, first] = np.inf
-        else:
-            first, low = [], []
-            for _ in range(n_matches):
-                first.append(lower.argmin(axis=1))
-                low.append(lower[r, first[-1]])
-                lower[r, first[-1]] = np.inf            # hidden from the next argmin
+        first, low = [], []
+        for _ in range(n_matches):      # m argmins beat an argpartition for small m
+            first.append(lower.argmin(axis=1))
+            low.append(lower[r, first[-1]])
+            lower[r, first[-1]] = np.inf                # hidden from the next argmin
         cut = (np.array(low) + 2.0 * tol_d[first]).max(axis=0) + 2.0 * tol_q[lo:hi]
         cut = np.nextafter(cut.astype(dtype), np.inf)   # rounded upward
         more = np.flatnonzero(lower.min(axis=1) <= cut)  # rows that keep more than their m
@@ -387,7 +382,8 @@ def _window_candidates(xq, xs, c, n_matches):
     m, size = n_matches, xs.size            # size >= m
     split = np.searchsorted(xs, xq, side="left")
     cut = np.empty(xq.size)
-    step = max(1, max(_BLOCK_ENTRIES, size) // (2 * m))
+    entries = max(_BLOCK_BYTES // 8, size)  # float64 window and candidate blocks
+    step = max(1, entries // (2 * m))
     for lo in range(0, xq.size, step):
         pos = split[lo:lo + step, None] + np.arange(-m, m)
         diff = xq[lo:lo + step, None] - np.take(xs, pos, mode="clip")
@@ -407,7 +403,7 @@ def _window_candidates(xq, xs, c, n_matches):
     lo = 0
     while lo < xq.size:
         base = ends[lo - 1] if lo else 0
-        hi = int(np.searchsorted(ends, base + max(_BLOCK_ENTRIES, size), side="right"))
+        hi = int(np.searchsorted(ends, base + entries, side="right"))
         row = np.repeat(np.arange(hi - lo), stop[lo:hi] - start[lo:hi])
         yield lo, hi, row, np.arange(base, ends[hi - 1]) + shift[lo:hi][row]
         lo = hi

@@ -372,7 +372,7 @@ class TestExactness:
     def test_one_query_per_block(self, monkeypatch):
         # with a budget below d, each block holds as few queries as fit in d
         # candidate pairs, so block edges fall everywhere
-        monkeypatch.setattr(matching, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(matching, "_BLOCK_BYTES", 1)
         rng = RngStream(70)
         for k in (1, 3):
             for m in range(1, 6):
@@ -381,13 +381,9 @@ class TestExactness:
                 for direction in (FOR_TREATED, FOR_CONTROL):
                     self.check(z, t, m, direction)
 
-    @pytest.mark.parametrize("argmin_most", [matching._ARGMIN_MOST, 0],
-                             ids=["argmin-passes", "argpartition"])
-    def test_many_matches_one_query_per_block(self, monkeypatch, argmin_most):
-        # m = 6-10 on tied integer rows, one query per block; with the
-        # threshold at 0 every m takes the one-selection branch
-        monkeypatch.setattr(matching, "_BLOCK_ENTRIES", 1)
-        monkeypatch.setattr(matching, "_ARGMIN_MOST", argmin_most)
+    def test_many_matches_one_query_per_block(self, monkeypatch):
+        # m = 6-10 on tied integer rows, one query per block
+        monkeypatch.setattr(matching, "_BLOCK_BYTES", 1)
         rng = RngStream(79)
         for k in (2, 3, 10):
             for m in range(6, 11):
