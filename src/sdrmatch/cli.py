@@ -9,6 +9,7 @@ thread count never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -154,16 +155,19 @@ def cmd_estimate(args) -> int:
 # =============================================================================
 
 def _header_line(args) -> str:
-    skip = {"command", "threads", "output"}
-    pairs = []
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        value = getattr(args, key)
-        if value is None:
-            continue
-        pairs.append(f"{key.replace('_', '-')}={value}")
+    pairs = (f"{key.replace('_', '-')}={value}" for key, value in sorted(vars(args).items())
+             if key not in ("command", "threads", "output") and value is not None)
     return f"# sdrmatch {__version__} {args.command} " + " ".join(pairs)
+
+
+def _check_output(path) -> None:
+    """Raise now, before any work, the OSError that writing to path would raise;
+    leave an existing file as it is and no new one behind."""
+    if path is not None and os.path.exists(path):
+        open(path, "a", encoding="utf-8").close()
+    elif path is not None:
+        open(path, "x", encoding="utf-8").close()
+        os.remove(path)
 
 
 def _write(text: str, path) -> None:
@@ -229,13 +233,8 @@ def cmd_simulate(args) -> int:
         spec, args.reps, seed=args.seed, n_matches=args.m, n_slices=args.slices,
         alpha=args.alpha, threads=args.threads, estimand=args.estimand,
     )
-    header = _header_line(args)
-    text = (
-        _format_report_csv(report, header)
-        if args.format == "csv"
-        else _format_report_text(report, header)
-    )
-    _write(text, args.output)
+    fmt = _format_report_csv if args.format == "csv" else _format_report_text
+    _write(fmt(report, _header_line(args)), args.output)
     return 0
 
 
@@ -293,6 +292,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
+        _check_output(args.output)
         if args.command == "estimate":
             return cmd_estimate(args)
         if args.command == "simulate":

@@ -226,12 +226,9 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     z = np.atleast_2d(np.asarray(scores, dtype=float))
     w = np.asarray(metric.whitening, dtype=float)
     t = np.asarray(treatment)
-    if direction == FOR_TREATED:
-        query_label = 1
-    elif direction == FOR_CONTROL:
-        query_label = 0
-    else:
+    if direction not in (FOR_TREATED, FOR_CONTROL):
         raise InvalidArgument(f"unknown direction {direction!r}")
+    query_label = int(direction == FOR_TREATED)
     if n_matches < 1:
         raise InvalidArgument(f"n_matches must be >= 1, got {n_matches}")
     if t.shape != (z.shape[0],):

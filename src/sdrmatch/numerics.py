@@ -51,7 +51,10 @@ def _as_symmetric(m) -> np.ndarray:
     scale = 1.0 + np.abs(a).max()
     if np.abs(a - a.T).max() > _SYMMETRY_RTOL * scale:
         raise InvalidMatrix("matrix is not symmetric within tolerance")
-    return 0.5 * (a + a.T)
+    if scale < 2.0 ** 1022:  # then no a_ij + a_ji can overflow
+        return 0.5 * (a + a.T)
+    with np.errstate(over="ignore"):  # where a_ij + a_ji overflows, halving first is exact
+        return np.where(np.isinf(a + a.T), 0.5 * a + 0.5 * a.T, 0.5 * (a + a.T))
 
 
 def sym_eigen(m) -> EigenDecomposition:
@@ -73,14 +76,25 @@ def sym_eigen(m) -> EigenDecomposition:
     return EigenDecomposition(values, vectors * signs)
 
 
-def spd_power(m, power: float, ridge: float = 0.0) -> np.ndarray:
-    """V diag((max(lambda_i, 0) + ridge)^power) V' for a symmetric PSD matrix.
+def spd_power(m, power: float, ridge: float | None = 0.0) -> np.ndarray:
+    """V diag((max(lambda_i, 0) + ridge)^power) V' for a symmetric PSD matrix;
+    ridge=None means the scale-aware ridge 1e-8 * trace/p, or 1e-8 when the
+    trace is zero.
 
     Raises:
+        InvalidArgument: negative ridge.
         InvalidMatrix: non-square, empty, non-finite, or asymmetric input.
         NotPSD: an eigenvalue is meaningfully negative.
     """
+    if ridge is not None and ridge < 0.0:
+        raise InvalidArgument(f"ridge must be >= 0, got {ridge}")
     a = _as_symmetric(m)
+    if ridge is None:
+        with np.errstate(over="ignore"):
+            mean_diag = float(np.trace(a)) / a.shape[0]
+        if mean_diag == math.inf:  # the diagonal's sum overflowed
+            mean_diag = float((np.diagonal(a) / a.shape[0]).sum())
+        ridge = _RIDGE_SCALE * (mean_diag if mean_diag > 0.0 else 1.0)
     values, vectors = np.linalg.eigh(a)
     tol = _PSD_RTOL * max(1.0, float(np.abs(values).max()))
     if float(values.min()) < -tol:
@@ -93,20 +107,8 @@ def spd_power(m, power: float, ridge: float = 0.0) -> np.ndarray:
 
 
 def inverse_sqrt_spd(m, ridge: float | None = None) -> np.ndarray:
-    """spd_power(m, -0.5, ridge); ridge=None means the scale-aware ridge
-    1e-8 * trace/p, or 1e-8 when the trace is zero.
-
-    Raises:
-        NotPSD: an eigenvalue is meaningfully negative.
-        InvalidArgument: negative ridge.
-    """
-    if ridge is not None and ridge < 0.0:
-        raise InvalidArgument(f"ridge must be >= 0, got {ridge}")
-    a = _as_symmetric(m)
-    if ridge is None:
-        mean_diag = float(np.trace(a)) / a.shape[0]
-        ridge = _RIDGE_SCALE * (mean_diag if mean_diag > 0.0 else 1.0)
-    return spd_power(a, -0.5, ridge)
+    """spd_power(m, -0.5, ridge), with the scale-aware ridge by default."""
+    return spd_power(m, -0.5, ridge)
 
 
 def chi_square_sf(x: float, df: int) -> float:

@@ -53,19 +53,25 @@ class CentralSubspaceEstimate:
 
     `basis` lives in the standardized scale. reduce_covariates computes
     reduced covariates in two steps: standardize through `standardization`,
-    then apply `basis`. `composite_map` = inv_sqrt_cov @ basis is the same
-    linear map on the raw scale, up to the constant mean shift and rounding;
-    it gives each basis direction in raw-covariate units and is not read by
-    reduce_covariates.
+    then apply `basis`.
     """
 
     standardization: StandardizationMap
     eigenvalues: np.ndarray
     basis: np.ndarray
-    selected_rank: int
     test_pvalues: np.ndarray
     rank_fallback: bool
-    composite_map: np.ndarray
+
+    @property
+    def selected_rank(self) -> int:
+        """Columns of basis: the tested rank, or 1 after a fallback."""
+        return self.basis.shape[1]
+
+    @property
+    def composite_map(self) -> np.ndarray:
+        """inv_sqrt_cov @ basis: reduce_covariates' map on the raw scale, up to
+        the mean shift and rounding, so each basis direction in raw units."""
+        return self.standardization.inv_sqrt_cov @ self.basis
 
 
 def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> SlicedMoments:
@@ -143,15 +149,11 @@ def sequential_rank_test(eigenvalues, n_obs: int, p: int, n_slices: int,
     lam = np.asarray(eigenvalues, dtype=float)
     cap = min(p, n_slices - 1)
     pvalues = np.empty(cap)
-    selected = cap
     for d in range(cap):
         stat = n_obs * max(float(lam[d:].sum()), 0.0)
-        dof = (p - d) * (n_slices - 1 - d)
-        pvalues[d] = numerics.chi_square_sf(stat, dof)
+        pvalues[d] = numerics.chi_square_sf(stat, (p - d) * (n_slices - 1 - d))
     above = np.flatnonzero(pvalues > alpha)
-    if above.size:
-        selected = int(above[0])
-    return selected, pvalues
+    return (int(above[0]) if above.size else cap), pvalues
 
 
 def estimate_central_subspace(sample: ObservationalSample, group: int,
@@ -178,17 +180,12 @@ def estimate_central_subspace(sample: ObservationalSample, group: int,
     selected, pvalues = sequential_rank_test(
         eig.eigenvalues, members.size, p, sliced.slice_sizes.size, alpha
     )
-    fallback = selected == 0
-    rank = max(selected, 1)
-    basis = eig.eigenvectors[:, :rank]
     return CentralSubspaceEstimate(
         standardization=smap,
         eigenvalues=eig.eigenvalues,
-        basis=basis,
-        selected_rank=rank,
+        basis=eig.eigenvectors[:, :max(selected, 1)],
         test_pvalues=pvalues,
-        rank_fallback=fallback,
-        composite_map=smap.inv_sqrt_cov @ basis,
+        rank_fallback=selected == 0,
     )
 
 

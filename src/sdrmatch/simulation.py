@@ -17,6 +17,7 @@ aggregates bias/SD/RMSE against the scenario's true effect.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -282,13 +283,8 @@ def load_case3_config(path) -> Case3Config:
     scenarios = {
         letter: _parse_terms(terms, letter) for letter, terms in scenarios_raw.items()
     }
-    return Case3Config(
-        outcome_intercept=intercept,
-        outcome_coefficients=omega,
-        treatment_effect=effect,
-        noise_sd=noise_sd,
-        scenarios=scenarios,
-    )
+    return Case3Config(outcome_intercept=intercept, outcome_coefficients=omega,
+                       treatment_effect=effect, noise_sd=noise_sd, scenarios=scenarios)
 
 
 def _eval_terms(terms, x: np.ndarray) -> np.ndarray:
@@ -371,6 +367,7 @@ def case3_latent_correlation(i: int, j: int, target: float) -> float:
     return float(target)
 
 
+@functools.cache
 def _case3_latent_root() -> np.ndarray:
     corr = np.eye(CASE3_P)
     for i, j, target in CASE3_CORRELATION_PAIRS:
@@ -426,7 +423,15 @@ _ANALYTIC_ACE = {"I": 4.25, "II": 1.0, "III": 10.0 ** -0.5}
 
 def monte_carlo_truth(spec: ScenarioSpec, estimand: str, seed: int,
                       n_draws: int = _TRUTH_DRAWS) -> float:
-    """High-n Monte Carlo oracle for the true effect, on a dedicated stream."""
+    """High-n Monte Carlo oracle for the true effect, on a dedicated stream.
+
+    Raises:
+        InvalidArgument: an estimand other than "ace" or "acet", or n_draws < 1.
+    """
+    if estimand not in ("ace", "acet"):
+        raise InvalidArgument(f"unknown estimand {estimand!r}")
+    if n_draws < 1:
+        raise InvalidArgument(f"n_draws must be >= 1, got {n_draws}")
     if spec.family == "case3":
         return float(spec.design.treatment_effect)
     rng = RngStream(seed, TRUTH_STREAM)
@@ -553,11 +558,5 @@ def run_monte_carlo(spec: ScenarioSpec, reps: int, seed: int = 0,
         else:
             bias = sd = rmse = float("nan")
         methods[method] = MethodResult(bias=bias, sd=sd, rmse=rmse, failures=failures)
-    return MonteCarloReport(
-        scenario=spec.case,
-        estimand=estimand,
-        truth=truth,
-        truth_source=source,
-        reps=reps,
-        methods=methods,
-    )
+    return MonteCarloReport(scenario=spec.case, estimand=estimand, truth=truth,
+                            truth_source=source, reps=reps, methods=methods)

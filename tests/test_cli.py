@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdrmatch import simulation
 from sdrmatch.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -302,8 +303,63 @@ class TestOutputFile:
     def test_empty_path_exits_two(self, argv, capsys):
         # "" names no file that can be opened; it does not mean stdout
         assert main([*argv, "--output", ""]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+        assert captured.out == ""      # nothing is printed before the path fails
+
+    def test_bad_path_fails_before_the_replicates(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = simulation.run_monte_carlo
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "run_monte_carlo", spy)
+        target = tmp_path / "no" / "such" / "r.csv"
+        argv = ["simulate", "--scenario", "case1-II", "--n", "200", "--reps", "2",
+                "--methods", "ambient", "--output", str(target)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert captured.out == ""
+        assert calls == []
+        assert main(argv[:-1] + [str(tmp_path / "r.csv")]) == 0
+        assert calls == [1]
+
+    def test_directory_path_exits_two(self, tmp_path, capsys):
+        argv = ["diagnose", "--input", str(LALONDE), "--treatment", "treat",
+                "--outcome", "re78", "--covariates", LALONDE_COVARIATES,
+                "--output", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert captured.out == ""
+
+    def test_later_failure_leaves_files_as_they_were(self, tmp_path, capsys):
+        # two matches from a group of one donor: exit 3 after the path check
+        f = tmp_path / "toy.csv"
+        f.write_text("T,Y,a\n1,1.0,0.5\n0,0.0,0.1\n1,2.0,0.7\n", encoding="utf-8")
+        existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+        existing.write_bytes(b"keep me\n")
+        for out_file in (existing, new):
+            code = main(["estimate", "--input", str(f), "--treatment", "T", "--outcome",
+                         "Y", "--covariates", "a", "--method", "ambient", "--m", "2",
+                         "--output", str(out_file)])
+            assert code == 3
+            assert capsys.readouterr().err.startswith("error: ")
+        assert existing.read_bytes() == b"keep me\n"
+        assert not new.exists()
+
+    def test_success_replaces_an_existing_file(self, tmp_path, capsysbinary):
+        argv = ["simulate", "--scenario", "case1-II", "--n", "200", "--reps", "2",
+                "--seed", "5", "--methods", "ambient"]
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        out_file = tmp_path / "r.csv"
+        out_file.write_bytes(b"x" * (len(printed) + 100))
+        assert main([*argv, "--output", str(out_file)]) == 0
+        assert out_file.read_bytes() == printed
 
 
 def write_separated_csv(path, n=40):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from sdrmatch import numerics
 from sdrmatch.errors import InvalidArgument, InvalidMatrix, NotPSD
 from sdrmatch.numerics import (
     RngStream,
@@ -166,6 +169,63 @@ class TestSpdPower:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPSD):
             spd_power(np.diag([1.0, -0.5]), 0.5)
+
+    def test_rejects_negative_ridge(self):
+        with pytest.raises(InvalidArgument) as info:
+            spd_power(np.eye(2), 0.5, -2.0)
+        assert str(info.value) == "ridge must be >= 0, got -2.0"
+
+    def test_default_ridge_of_spd_power_is_zero(self):
+        assert np.array_equal(spd_power(np.diag([4.0, 0.0]), 0.5), np.diag([2.0, 0.0]))
+
+
+class TestOneValidation:
+    """spd_power is the one kernel that validates, ridges and decomposes."""
+
+    def test_inverse_sqrt_validates_once(self, monkeypatch):
+        calls = []
+        original = numerics._as_symmetric
+
+        def counted(m):
+            calls.append(1)
+            return original(m)
+
+        monkeypatch.setattr(numerics, "_as_symmetric", counted)
+        rng = RngStream(10)
+        a = rng.normal((7, 4))
+        inverse_sqrt_spd(a.T @ a / 7)
+        assert len(calls) == 1
+
+    def test_entries_near_the_largest_double(self):
+        # a + a' overflows here; the kernels must still return the exact roots
+        m = np.eye(2) * 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            root = spd_power(m, 0.5)
+            eig = sym_eigen(m)
+            inv = inverse_sqrt_spd(m)
+        assert np.isfinite(root).all() and np.isfinite(inv).all()
+        assert np.allclose(root, np.eye(2) * np.sqrt(1.7e308), rtol=1e-14, atol=0.0)
+        assert np.allclose(eig.eigenvalues, [1.7e308, 1.7e308], rtol=1e-14, atol=0.0)
+        assert np.array_equal(eig.eigenvectors.T @ eig.eigenvectors, np.eye(2))
+        # the default ridge is 1e-8 times the mean diagonal, 1.7e300
+        expected = np.eye(2) / np.sqrt(1.7e308 * (1.0 + 1e-8))
+        assert np.allclose(inv, expected, rtol=1e-14, atol=0.0)
+
+    def test_symmetrised_bits_kept_where_the_sum_is_finite(self):
+        tiny = 5e-324
+        m = np.array([[1.7e308, tiny, 1.0],
+                      [tiny, 3.0, np.nextafter(1.0, 2.0)],
+                      [1.0, 1.0, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sym = numerics._as_symmetric(m)
+        assert sym[0, 0] == sym[2, 2] == 1.7e308
+        with np.errstate(over="ignore"):
+            plain = 0.5 * (m + m.T)
+        finite = np.isfinite(plain)
+        assert np.array_equal(sym[finite], plain[finite])
+        assert sym[0, 1] == tiny    # halving first would round it to 0
 
 
 class TestChiSquare:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from sdrmatch.dataset import ObservationalSample
 from sdrmatch.errors import InsufficientData, InvalidArgument, SliceError
 from sdrmatch.numerics import RngStream
 from sdrmatch.sdr import (
+    CentralSubspaceEstimate,
     SlicedMoments,
     candidate_matrix,
     estimate_central_subspace,
@@ -234,10 +237,8 @@ class TestReduceCovariates:
             standardization=StandardizationMap(np.zeros(3), np.eye(3)),
             eigenvalues=np.zeros(3),
             basis=basis,
-            selected_rank=1,
             test_pvalues=np.zeros(1),
             rank_fallback=False,
-            composite_map=basis,
         )
         x = np.arange(12.0).reshape(4, 3)
         assert np.array_equal(reduce_covariates(est, x)[:, 0], x[:, 0])
@@ -250,10 +251,8 @@ class TestReduceCovariates:
             standardization=StandardizationMap(np.zeros(3), np.eye(3)),
             eigenvalues=np.zeros(3),
             basis=basis,
-            selected_rank=2,
             test_pvalues=np.zeros(1),
             rank_fallback=False,
-            composite_map=basis,
         )
         x = np.arange(12.0).reshape(4, 3)
         assert np.array_equal(reduce_covariates(est, x), x[:, :2])
@@ -288,3 +287,21 @@ class TestInvariants:
         before = candidate_matrix(slice_by_quantiles(y, z, 5))
         after = candidate_matrix(slice_by_quantiles(np.exp(y), z, 5))
         assert np.array_equal(before, after)
+
+
+class TestDerivedFields:
+    """selected_rank and composite_map are read from basis, never stored."""
+
+    def test_not_stored_fields(self):
+        names = {f.name for f in dataclasses.fields(CentralSubspaceEstimate)}
+        assert not names & {"selected_rank", "composite_map"}
+
+    @pytest.mark.parametrize("case, seed", [("case1-III", 91), ("case1-II", 92)])
+    def test_properties_equal_their_expressions(self, case, seed):
+        data = generate(scenario(case), RngStream(seed, 0))
+        for group in (0, 1):
+            est = estimate_central_subspace(data.sample, group)
+            assert est.selected_rank == est.basis.shape[1]
+            assert type(est.selected_rank) is int
+            assert np.array_equal(est.composite_map,
+                                  est.standardization.inv_sqrt_cov @ est.basis)

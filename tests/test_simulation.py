@@ -183,6 +183,17 @@ class TestCase3Generator:
             expected = case3_realized_correlation(i, j, target)
             assert realized == pytest.approx(expected, abs=0.05)
 
+    def test_latent_root_built_once_per_process(self, config, monkeypatch):
+        from sdrmatch import simulation
+        simulation._case3_latent_root()     # built by now, whatever ran before
+        calls = []
+        monkeypatch.setattr(simulation, "spd_power", lambda *a: calls.append(a))
+        spec = scenario("case3-A", n=200, coefficients=config)
+        first = generate(spec, RngStream(73, 0)).sample.covariates
+        second = generate(spec, RngStream(73, 0)).sample.covariates
+        assert calls == []
+        assert np.array_equal(first, second)
+
     def test_binary_binary_pairs_hit_stated_target(self, config):
         # the 0.2 pairs are feasible and calibrated to the stated value
         assert case3_realized_correlation(1, 5, 0.2) == pytest.approx(0.2, abs=1e-12)
@@ -385,6 +396,17 @@ class TestTruths:
     def test_unknown_estimand(self):
         with pytest.raises(InvalidArgument, match=r"^unknown estimand 'att'$"):
             true_effect(scenario("case1-I"), "att", 0)
+
+    @pytest.mark.parametrize("case", ["case1-IV", "case2-I*"])
+    def test_monte_carlo_truth_rejects_unknown_estimand(self, case):
+        with pytest.raises(InvalidArgument, match=r"^unknown estimand 'bogus'$"):
+            monte_carlo_truth(scenario(case), "bogus", seed=0, n_draws=1000)
+
+    @pytest.mark.parametrize("case", ["case1-IV", "case2-I*"])
+    @pytest.mark.parametrize("n_draws", [0, -5])
+    def test_monte_carlo_truth_rejects_no_draws(self, case, n_draws):
+        with pytest.raises(InvalidArgument, match=rf"^n_draws must be >= 1, got {n_draws}$"):
+            monte_carlo_truth(scenario(case), "ace", seed=0, n_draws=n_draws)
 
 
 class TestMonteCarloHarness:
