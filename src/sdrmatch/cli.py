@@ -9,6 +9,7 @@ thread count never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -54,6 +55,7 @@ def _add_tuning_flags(parser):
                         help="rank-test significance level, in (0, 1)")
 
 
+@functools.cache  # main parses with one parser per process, built on first use
 def build_parser() -> _Parser:
     parser = _Parser(prog="sdrmatch")
     parser.add_argument("--version", action="version", version=f"sdrmatch {__version__}")

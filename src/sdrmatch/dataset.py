@@ -185,7 +185,9 @@ def fit_standardization(sample: ObservationalSample, group: int) -> Standardizat
             f"group {group} has {rows.shape[0]} subjects; need at least {p + 1}"
         )
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        mean, cov = rows.mean(axis=0), np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+        mean = rows.mean(axis=0)
+        e = rows - mean
+        cov = (e.T @ e) * (1.0 / (rows.shape[0] - 1))     # np.cov(rows, rowvar=False)'s bits
     if not np.isfinite(cov).all():
         raise InvalidMatrix(f"the covariate covariance in group {group} is not finite; "
                             "rescale the covariates")

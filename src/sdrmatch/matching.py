@@ -157,28 +157,29 @@ def build_metric(scores) -> MahalanobisMetric:
     if z.shape[0] < 2:
         raise InvalidArgument("need at least 2 rows to pool a covariance")
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        cov = np.atleast_2d(np.cov(z, rowvar=False, ddof=1))
+        e = z - z.mean(axis=0)
+        cov = (e.T @ e) * (1.0 / (z.shape[0] - 1))         # np.cov(z, rowvar=False)'s bits
     if not np.isfinite(cov).all():
         raise InvalidMatrix("the score covariance is not finite; rescale the scores")
     return MahalanobisMetric(numerics.inverse_sqrt_spd(cov))
 
 
 def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Canonical squared distance diff' inv diff for each row of diff, clamped at 0.
+    """Canonical squared distance d' inv d for each column d of diff (k x P), clamped at 0.
 
-    The terms (diff_k inv_kl) diff_l are added one at a time, starting from 0,
-    in row-major (k, l) order: the order in which numpy's
-    einsum("qdk,kl,qdl->qd") sums a block of three or more pairs (numpy 2.4).
-    Written out, a pair's bits do not depend on which other pairs share the
-    call; einsum takes another order for one or two pairs.
+    The terms (d_k inv_kl) d_l are added one at a time, starting from 0, in
+    row-major (k, l) order: the order in which numpy's einsum("qdk,kl,qdl->qd")
+    sums a block of three or more pairs (numpy 2.4). np.add.reduce adds the rows
+    [total; k terms] in turn when they hold two or more pairs; one pair it would
+    sum pairwise, so it is padded to two. No pair's bits depend on the others.
     """
-    d2 = np.zeros(diff.shape[0])
-    for k in range(diff.shape[1]):
-        terms = diff[:, k, None] * inv[k]
-        terms *= diff
-        terms[:, 0] += d2
-        d2 = np.add.accumulate(terms, axis=1)[:, -1]
-    return np.maximum(d2, 0.0)
+    size = diff.shape[1]
+    total = np.zeros((diff.shape[0] + 1, max(size, 2)))     # row 0: the running sum
+    for k in range(diff.shape[0]):
+        np.multiply(inv[k, :, None], diff[k], out=total[1:, :size])
+        total[1:, :size] *= diff
+        total[0] = np.add.reduce(total, axis=0)
+    return np.maximum(total[0, :size], 0.0)
 
 
 # Candidate blocks hold at most max(this / itemsize, d) (query, donor)
@@ -213,8 +214,8 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
       O(d log d + q (m + log d)) when distinct scores rarely tie in distance.
 
     Blocks of at most max(2^18, d) pairs, 2^19 for a float32 product (2 MiB
-    either way), share a buffer made once per call: working memory is
-    O((max(2^19, d) + q + d) k) floats.
+    either way), share a buffer made once per call, and are re-ranked together
+    while their pairs' k columns fit 2 MiB: memory is O((max(2^19, d) + q + d) k) floats.
 
     Raises:
         InvalidArgument: unknown direction, n_matches < 1, scores and
@@ -273,7 +274,7 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     picked = np.empty((queries.size, n_matches), dtype=np.int64)
     d2_picked = np.empty((queries.size, n_matches))
     for lo, hi, row, col in blocks:
-        d2 = _squared_distances(zq[lo + row] - zd[col], inv)
+        d2 = _squared_distances((zq[lo + row] - zd[col]).T.copy(), inv)
         col = donors[col]                   # ties break by sample index
         # lexsort groups pairs by row, so row j's run starts at sum(counts[:j])
         order = np.lexsort((col, d2, row))
@@ -346,7 +347,7 @@ def _filter_candidates(zq, zd, w, n_matches):
     wd = np.vstack([wd.T, nd - tol_d]).astype(dtype)
     step = max(1, _BLOCK_BYTES // wq.itemsize // n_donors)
     buf = np.empty((min(step, zq.shape[0]), n_donors), dtype)  # reused by every block
-
+    rows, cols, start = [], [], 0   # consecutive blocks' pairs, re-ranked together
     for lo in range(0, zq.shape[0], step):
         hi = min(lo + step, zq.shape[0])
         lower, r = np.dot(wq[lo:hi], wd, out=buf[:hi - lo]), np.arange(hi - lo)
@@ -359,8 +360,11 @@ def _filter_candidates(zq, zd, w, n_matches):
         cut = np.nextafter(cut.astype(dtype), np.inf)   # rounded upward
         more = np.flatnonzero(lower.min(axis=1) <= cut)  # rows that keep more than their m
         row, col = np.nonzero(lower[more] <= cut[more, None])
-        yield (lo, hi, np.concatenate([np.repeat(r, n_matches), more[row]]),
-               np.concatenate([np.ravel(first, order="F"), col]))
+        rows += [np.repeat(r + (lo - start), n_matches), more[row] + (lo - start)]
+        cols += [np.ravel(first, order="F"), col]
+        if hi == zq.shape[0] or sum(map(len, cols)) * k >= _BLOCK_BYTES // 8:
+            yield start, hi, np.concatenate(rows), np.concatenate(cols)
+            rows, cols, start = [], [], hi
 
 
 def _window_candidates(xq, xs, c, n_matches):

@@ -49,12 +49,14 @@ def _as_symmetric(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise InvalidMatrix("matrix contains non-finite entries")
     scale = 1.0 + np.abs(a).max()
-    if np.abs(a - a.T).max() > _SYMMETRY_RTOL * scale:
+    big = scale >= 2.0 ** 1022  # then a_ij +- a_ji may overflow; their halves cannot
+    h = 0.5 * a if big else a
+    if np.abs(h - h.T).max() > _SYMMETRY_RTOL * (0.5 if big else 1.0) * scale:
         raise InvalidMatrix("matrix is not symmetric within tolerance")
-    if scale < 2.0 ** 1022:  # then no a_ij + a_ji can overflow
+    if not big:
         return 0.5 * (a + a.T)
     with np.errstate(over="ignore"):  # where a_ij + a_ji overflows, halving first is exact
-        return np.where(np.isinf(a + a.T), 0.5 * a + 0.5 * a.T, 0.5 * (a + a.T))
+        return np.where(np.isinf(a + a.T), h + h.T, 0.5 * (a + a.T))
 
 
 def sym_eigen(m) -> EigenDecomposition:
@@ -95,8 +97,12 @@ def spd_power(m, power: float, ridge: float | None = 0.0) -> np.ndarray:
         if mean_diag == math.inf:  # the diagonal's sum overflowed
             mean_diag = float((np.diagonal(a) / a.shape[0]).sum())
         ridge = _RIDGE_SCALE * (mean_diag if mean_diag > 0.0 else 1.0)
-    values, vectors = np.linalg.eigh(a)
+    # dsyevd returns (a, [[1]]) for [[a]], so a 1 x 1 matrix needs no LAPACK call
+    values, vectors = (a[0], np.ones((1, 1))) if a.shape[0] == 1 else np.linalg.eigh(a)
     tol = _PSD_RTOL * max(1.0, float(np.abs(values).max()))
+    if tol == math.inf:  # an eigenvalue overflows: decompose a / 4^b, 4^b > p, exactly
+        unit = 4.0 ** a.shape[0].bit_length()
+        return spd_power(a / unit, power, ridge / unit) * unit ** power
     if float(values.min()) < -tol:
         raise NotPSD(f"matrix has eigenvalue {values.min():.3e} below -{tol:.1e}")
     scaled = np.maximum(values, 0.0) + ridge

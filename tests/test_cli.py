@@ -203,6 +203,40 @@ class TestSimulate:
         assert "Ambient (original covariates)" in out
 
 
+class TestOneParser:
+    """main builds its parser on first use and reuses it; no output byte changes."""
+
+    RUNS = (
+        ["estimate", "--input", str(LALONDE), "--treatment", "treat", "--outcome", "re78",
+         "--covariates", LALONDE_COVARIATES, "--method", "ambient"],
+        ["simulate", "--scenario", "case1-I", "--n", "60", "--reps", "2",
+         "--methods", "ambient,ps-true"],
+        ["--version"],
+        ["simulate", "--scenario", "case1-I", "--reps", "two"],
+    )
+
+    def test_one_parser_gives_a_fresh_parser_s_bytes(self, capsysbinary):
+        from sdrmatch import cli
+
+        fresh = []
+        for argv in self.RUNS:
+            cli.build_parser.cache_clear()
+            fresh.append((main(argv), capsysbinary.readouterr()))
+        assert [code for code, _ in fresh] == [0, 0, 0, 2]
+        cli.build_parser.cache_clear()
+        reused = []
+        for argv in self.RUNS * 2:
+            reused.append((main(argv), capsysbinary.readouterr()))
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == fresh * 2
+
+    def test_import_builds_no_parser(self):
+        code = ("import sdrmatch.cli as cli; "
+                "assert cli.build_parser.cache_info().currsize == 0")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 class TestDiagnose:
     def test_lalonde_reduced_blocks(self, tmp_path, capsys):
         out_file = tmp_path / "diag.csv"

@@ -16,7 +16,7 @@ from sdrmatch.dataset import (
 from sdrmatch.errors import (
     InsufficientData, InvalidArgument, ParseError, SchemaError, SdrMatchError,
 )
-from sdrmatch.numerics import RngStream
+from sdrmatch.numerics import RngStream, inverse_sqrt_spd
 
 
 def write_lines(path, lines):
@@ -312,6 +312,19 @@ class TestStandardization:
         z = apply_standardization(smap, x)
         assert np.abs(z.mean(axis=0)).max() < 1e-8
         assert np.abs(np.cov(z, rowvar=False, ddof=1) - np.eye(4)).max() < 1e-6
+
+    def test_covariance_bits_equal_np_cov(self):
+        # the group covariance is np.cov's arithmetic written out: same bits
+        rng = RngStream(12)
+        for p, scale in ((1, 1.0), (3, 1e4), (10, 1.0)):
+            x = np.round(np.exp(rng.normal((400, p)) + 5.0), 2) * scale
+            t = (rng.uniform(400) < 0.4).astype(int)
+            sample = ObservationalSample(x, t, np.arange(400.0))
+            for group in (0, 1):
+                rows = x[t == group]
+                cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+                smap = fit_standardization(sample, group)
+                assert np.array_equal(smap.inv_sqrt_cov, inverse_sqrt_spd(cov))
 
 
 class TestApplyStandardization:

@@ -121,6 +121,18 @@ class TestBuildMetric:
         with pytest.raises(InvalidArgument):
             build_metric(np.ones((1, 2)))
 
+    def test_covariance_bits_equal_np_cov(self):
+        # the pooled covariance is np.cov's arithmetic written out, so the
+        # whitening map keeps its bits for C, Fortran and strided scores
+        rng = RngStream(52)
+        x = np.round(np.exp(rng.normal((300, 10)) + 9.0), 2)
+        ps = rng.uniform(300)
+        for z in (x, np.asfortranarray(x), x[:, ::3], x[:, 4:5], ps[:, None],
+                  rng.normal((2, 3)), 1e6 + rng.normal((41, 2))):
+            cov = np.atleast_2d(np.cov(z, rowvar=False, ddof=1))
+            expected = inverse_sqrt_spd(cov)
+            assert np.array_equal(build_metric(z).whitening, expected)
+
 
 class TestFindMatches:
     def test_nearest_by_absolute_difference(self):
@@ -189,6 +201,57 @@ class TestFindMatches:
                 )
                 assert mine.query_indices.tolist() == queries
                 assert mine.donor_indices.tolist() == expected
+
+
+def loop_squared_distances(diff, inv):
+    """The canonical squared distance of each (P, k) row, summed by a loop over
+    score columns with add.accumulate along each row: the reference for the
+    column-layout kernel, which must give the same bits."""
+    d2 = np.zeros(diff.shape[0])
+    for k in range(diff.shape[1]):
+        terms = diff[:, k, None] * inv[k]
+        terms *= diff
+        terms[:, 0] += d2
+        d2 = np.add.accumulate(terms, axis=1)[:, -1]
+    return np.maximum(d2, 0.0)
+
+
+class TestCanonicalKernel:
+    """_squared_distances adds the terms in row-major (k, l) order whatever P is."""
+
+    @staticmethod
+    def draw(pairs, k):
+        rng = RngStream(90 + k, pairs)
+        diff = rng.normal((pairs, k)) * np.exp(4.0 * rng.normal((pairs, k)))
+        special = np.array([-0.0, 0.0, 5e-324, -1e-310, 1e150, -1e150])
+        pick = rng.uniform((pairs, k))
+        diff = np.where(pick < 0.3, special[(pick * 20.0).astype(int) % 6], diff)
+        a = rng.normal((k, k))
+        return diff, a @ a.T / k - 0.1 * np.eye(k)       # indefinite as well
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 40])
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 7, 245, 2477])
+    def test_bits_equal_the_row_loop(self, pairs, k):
+        diff, inv = self.draw(pairs, k)
+        expected = loop_squared_distances(diff, inv)
+        got = matching._squared_distances(diff.T.copy(), inv)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # a pair's bits do not depend on the pairs that share its call
+        for i in {0, pairs // 2, pairs - 1}:
+            alone = matching._squared_distances(diff[i:i + 1].T.copy(), inv)
+            assert alone.view(np.uint64)[0] == expected.view(np.uint64)[i]
+
+    def test_one_pair_is_not_summed_pairwise(self):
+        # terms 1, u, ..., u (u = 2^-53): added in turn each u rounds away, but
+        # np.add.reduce over one contiguous column sums them pairwise and keeps
+        # some; the kernel pads a single pair to two so that it adds in turn
+        u, k = 2.0 ** -53, 16
+        inv = np.zeros((k, k))
+        inv[0] = [1.0] + [u] * (k - 1)
+        column = np.concatenate([[0.0], inv[0]])
+        assert np.add.reduce(column) > 1.0 == np.add.accumulate(column)[-1]
+        assert matching._squared_distances(np.ones((k, 1)), inv).tolist() == [1.0]
+        assert matching._squared_distances(np.ones((k, 2)), inv).tolist() == [1.0, 1.0]
 
 
 class TestExactness:
@@ -596,7 +659,7 @@ class TestExactness:
         canonical, seen = matching._squared_distances, []
 
         def counting(diff, inv):
-            seen.append(diff.shape[0])
+            seen.append(diff.shape[1])      # diff holds one pair per column
             return canonical(diff, inv)
 
         monkeypatch.setattr(matching, "_squared_distances", counting)
@@ -644,6 +707,28 @@ class TestExactness:
             seen.clear()
             find_matches(z, t, metric, 1, direction)
             assert sum(seen) <= most
+
+    def test_filter_blocks_re_ranked_together(self, monkeypatch):
+        # n = 5,000, k = 10: a dozen filter products per direction, one re-rank;
+        # a smaller budget flushes once the pairs' k columns fill it, and the
+        # matches keep their bits
+        rng = RngStream(82)
+        n = 5_000
+        z = rng.normal((n, 10))
+        t = (rng.uniform(n) < 0.5).astype(int)
+        metric = build_metric(z)
+        products = self.product_dtypes(monkeypatch)
+        seen = self.count_reranked_pairs(monkeypatch)
+        whole = find_matches(z, t, metric, 2, FOR_TREATED)
+        assert len(products) >= 10 and len(seen) == 1
+        monkeypatch.setattr(matching, "_BLOCK_BYTES", 1 << 16)
+        products.clear()
+        seen.clear()
+        parts = find_matches(z, t, metric, 2, FOR_TREATED)
+        assert len(products) > 100 and 2 <= len(seen) < 10
+        assert all(size * 10 * 8 >= 1 << 16 for size in seen[:-1])
+        assert np.array_equal(parts.donor_indices, whole.donor_indices)
+        assert np.array_equal(parts.distances, whole.distances)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_column_re_ranks_about_m_pairs(self, monkeypatch, m):

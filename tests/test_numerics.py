@@ -228,6 +228,91 @@ class TestOneValidation:
         assert sym[0, 1] == tiny    # halving first would round it to 0
 
 
+def eigh_route(m, power, ridge=0.0):
+    """spd_power as it was before its 1 x 1 and overflow branches: always eigh."""
+    a = numerics._as_symmetric(m)
+    values, vectors = np.linalg.eigh(a)
+    with np.errstate(divide="ignore"):
+        powered = (np.maximum(values, 0.0) + ridge) ** power
+    out = (vectors * powered) @ vectors.T
+    return 0.5 * (out + out.T)
+
+
+class TestOneByOne:
+    """[[a]] is decomposed as (a, [[1]]), the bits dsyevd returns, without LAPACK."""
+
+    @pytest.mark.parametrize("a", [0.0, 5e-324, 1e-300, 1.0, 1e300])
+    def test_equals_the_eigh_route(self, monkeypatch, a):
+        default = 1e-8 * (a if a > 0.0 else 1.0)    # inverse_sqrt_spd's ridge
+        expected = {(power, ridge): eigh_route([[a]], power, ridge)
+                    for power in (0.5, -0.5, 1.0) for ridge in (0.0, 1e-8, default)}
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m))
+        for (power, ridge), value in expected.items():
+            got = spd_power([[a]], power, ridge)
+            assert got.shape == (1, 1)
+            assert np.array_equal(got.view(np.uint64), value.view(np.uint64))
+        got = inverse_sqrt_spd([[a]])
+        assert np.array_equal(got.view(np.uint64), expected[(-0.5, default)].view(np.uint64))
+        assert calls == []
+
+
+class TestNearTheLargestDouble:
+    """Entries at and above 2^1022, where a_ij +- a_ji or an eigenvalue overflows."""
+
+    @pytest.mark.parametrize("kernel", [sym_eigen, lambda m: spd_power(m, 0.5),
+                                        inverse_sqrt_spd])
+    def test_opposite_entries_raise_without_a_warning(self, kernel):
+        # a - a' overflows here; pytest turns a RuntimeWarning into an error
+        with pytest.raises(InvalidMatrix) as info:
+            kernel([[0.0, 1.7e308], [-1.7e308, 0.0]])
+        assert str(info.value) == "matrix is not symmetric within tolerance"
+
+    @pytest.mark.parametrize("scale", [1e300, 2.0 ** 1021, 2.0 ** 1022, 1.7e308])
+    def test_symmetry_tolerance_on_both_sides_of_2_1022(self, scale):
+        for gap, symmetric in ((0.5e-10, True), (2e-10, False)):
+            m = np.array([[scale, 0.5 * scale], [(0.5 + gap) * scale, scale]])
+            if symmetric:
+                sym_eigen(m)
+            else:
+                with pytest.raises(InvalidMatrix):
+                    sym_eigen(m)
+
+    def test_root_where_an_eigenvalue_overflows(self):
+        # the eigenvalues 2.7e308 and 0.7e308: the first overflows, the root does not
+        m = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(eigh_route(m, 0.5)).any()
+        big, small = np.sqrt(1.35e308) * np.sqrt(2.0), np.sqrt(0.7e308)
+        expected = 0.5 * np.array([[big + small, big - small], [big - small, big + small]])
+        root = spd_power(m, 0.5)
+        assert np.allclose(root, expected, rtol=1e-14, atol=0.0)
+        assert np.allclose(root @ root, m, rtol=1e-14, atol=0.0)
+        inv = inverse_sqrt_spd(m, 0.0)
+        assert np.allclose(inv @ expected, np.eye(2), rtol=0.0, atol=1e-14)
+
+    def test_overflowing_indefinite_matrix_is_not_psd(self):
+        # eigenvalues +-2.4e308: both overflow, and the negative one is real
+        with pytest.raises(NotPSD):
+            spd_power(np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]]), 0.5)
+
+    def test_root_where_entries_below_2_1022_overflow_an_eigenvalue(self):
+        # ten entries of 4e307 sum to the eigenvalue 4e308
+        m = np.full((10, 10), 4e307)
+        root = spd_power(m, 0.5)
+        assert np.allclose(root, np.sqrt(4e306), rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1.7e308, 1.0]),
+        np.array([[1e308, 5e307], [5e307, 1e308]]),
+        np.array([[2.0 ** 1022, 1.0], [1.0, 3.0]]),
+        np.array([[np.nextafter(2.0 ** 1022, 0.0), 2.0 ** 1020], [2.0 ** 1020, 2.0 ** 1021]]),
+    ])
+    def test_finite_roots_keep_their_bits(self, m):
+        for power, ridge in ((0.5, 0.0), (-0.5, 0.0), (-0.5, 1e290)):
+            assert np.array_equal(spd_power(m, power, ridge), eigh_route(m, power, ridge))
+
+
 class TestChiSquare:
     def test_zero_is_one(self):
         for df in (1, 2, 7):
