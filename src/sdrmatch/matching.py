@@ -52,7 +52,7 @@ class BalancingScore:
 
     @classmethod
     def ambient(cls, covariates) -> "BalancingScore":
-        x = np.atleast_2d(np.asarray(covariates, dtype=float))
+        x = _score_matrix(covariates)
         return cls(into_control=x, into_treated=x)
 
 
@@ -145,15 +145,22 @@ class CausalEstimate:
     diagnostics: dict
 
 
+def _score_matrix(scores) -> np.ndarray:
+    z = np.asarray(scores, dtype=float)
+    if z.ndim != 2:
+        raise InvalidArgument(f"scores must be n x k, such as ps[:, None]; got shape {z.shape}")
+    return z
+
+
 def build_metric(scores) -> MahalanobisMetric:
     """Metric from the pooled (all-subject) sample covariance of the scores.
 
     The whitening map is the ridge-stabilized inverse square root of that
     covariance (inverse_sqrt_spd's default ridge), so a constant score column
     degenerates cleanly: pairwise differences along it are zero and
-    contribute nothing.
+    contribute nothing. Scores are an (n, k) array, as in find_matches.
     """
-    z = np.atleast_2d(np.asarray(scores, dtype=float))
+    z = _score_matrix(scores)
     if z.shape[0] < 2:
         raise InvalidArgument("need at least 2 rows to pool a covariance")
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
@@ -218,13 +225,13 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     while their pairs' k columns fit 2 MiB: memory is O((max(2^19, d) + q + d) k) floats.
 
     Raises:
-        InvalidArgument: unknown direction, n_matches < 1, scores and
-            treatment of different lengths, a whitening map that is not
-            k x k, no subjects to match, NaN/inf in the scores or the
+        InvalidArgument: scores not n x k, unknown direction, n_matches < 1,
+            scores and treatment of different lengths, a whitening map that is
+            not k x k, no subjects to match, NaN/inf in the scores or the
             metric, or a picked squared distance that overflows.
         InsufficientDonors: donor group smaller than n_matches.
     """
-    z = np.atleast_2d(np.asarray(scores, dtype=float))
+    z = _score_matrix(scores)
     w = np.asarray(metric.whitening, dtype=float)
     t = np.asarray(treatment)
     if direction not in (FOR_TREATED, FOR_CONTROL):

@@ -40,7 +40,9 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _as_symmetric(m) -> np.ndarray:
+def _as_symmetric(m) -> tuple[np.ndarray, float]:
+    """(a + a') / (2 unit) and unit: the exact power of four 4^b > p where an entry
+    reaches 2^1000, else 1. No sum, trace or eigenvalue of the result overflows."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"matrix must be square, got shape {a.shape}")
@@ -48,15 +50,13 @@ def _as_symmetric(m) -> np.ndarray:
         raise InvalidMatrix("matrix is empty (0 x 0)")
     if not np.isfinite(a).all():
         raise InvalidMatrix("matrix contains non-finite entries")
-    scale = 1.0 + np.abs(a).max()
-    big = scale >= 2.0 ** 1022  # then a_ij +- a_ji may overflow; their halves cannot
-    h = 0.5 * a if big else a
-    if np.abs(h - h.T).max() > _SYMMETRY_RTOL * (0.5 if big else 1.0) * scale:
+    peak, unit = np.abs(a).max(), 1.0
+    if peak >= 2.0 ** 1000:
+        unit = 4.0 ** a.shape[0].bit_length()
+        a, peak = a / unit, peak / unit
+    if np.abs(a - a.T).max() > _SYMMETRY_RTOL * (1.0 + peak):
         raise InvalidMatrix("matrix is not symmetric within tolerance")
-    if not big:
-        return 0.5 * (a + a.T)
-    with np.errstate(over="ignore"):  # where a_ij + a_ji overflows, halving first is exact
-        return np.where(np.isinf(a + a.T), h + h.T, 0.5 * (a + a.T))
+    return 0.5 * (a + a.T), unit
 
 
 def sym_eigen(m) -> EigenDecomposition:
@@ -69,47 +69,40 @@ def sym_eigen(m) -> EigenDecomposition:
     Raises:
         InvalidMatrix: non-square, empty, non-finite, or asymmetric input.
     """
-    a = _as_symmetric(m)
+    a, unit = _as_symmetric(m)
     values, vectors = np.linalg.eigh(a)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
+    with np.errstate(over="ignore"):    # an eigenvalue beyond the largest double is inf
+        values, vectors = values[::-1] * unit, vectors[:, ::-1].copy()
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
     return EigenDecomposition(values, vectors * signs)
 
 
 def spd_power(m, power: float, ridge: float | None = 0.0) -> np.ndarray:
-    """V diag((max(lambda_i, 0) + ridge)^power) V' for a symmetric PSD matrix;
-    ridge=None means the scale-aware ridge 1e-8 * trace/p, or 1e-8 when the
-    trace is zero.
+    """V diag((max(lambda_i, 0) + ridge)^power) V' for a symmetric PSD matrix; ridge=None
+    means the scale-aware ridge 1e-8 * trace/p, or 1e-8 when the trace is zero.
 
     Raises:
         InvalidArgument: negative ridge.
         InvalidMatrix: non-square, empty, non-finite, or asymmetric input.
-        NotPSD: an eigenvalue is meaningfully negative.
+        NotPSD: a meaningfully negative eigenvalue, or a zero one (plus ridge) at power < 0.
     """
     if ridge is not None and ridge < 0.0:
         raise InvalidArgument(f"ridge must be >= 0, got {ridge}")
-    a = _as_symmetric(m)
-    if ridge is None:
-        with np.errstate(over="ignore"):
-            mean_diag = float(np.trace(a)) / a.shape[0]
-        if mean_diag == math.inf:  # the diagonal's sum overflowed
-            mean_diag = float((np.diagonal(a) / a.shape[0]).sum())
-        ridge = _RIDGE_SCALE * (mean_diag if mean_diag > 0.0 else 1.0)
+    a, unit = _as_symmetric(m)
+    if ridge is None:   # 1e-8 times a's mean diagonal, formed where it cannot overflow
+        mean_diag = float(np.trace(a)) / a.shape[0]
+        ridge = _RIDGE_SCALE * unit * mean_diag if mean_diag > 0.0 else _RIDGE_SCALE
     # dsyevd returns (a, [[1]]) for [[a]], so a 1 x 1 matrix needs no LAPACK call
     values, vectors = (a[0], np.ones((1, 1))) if a.shape[0] == 1 else np.linalg.eigh(a)
-    tol = _PSD_RTOL * max(1.0, float(np.abs(values).max()))
-    if tol == math.inf:  # an eigenvalue overflows: decompose a / 4^b, 4^b > p, exactly
-        unit = 4.0 ** a.shape[0].bit_length()
-        return spd_power(a / unit, power, ridge / unit) * unit ** power
-    if float(values.min()) < -tol:
-        raise NotPSD(f"matrix has eigenvalue {values.min():.3e} below -{tol:.1e}")
-    scaled = np.maximum(values, 0.0) + ridge
-    with np.errstate(divide="ignore"):
-        powered = scaled ** power
-    out = (vectors * powered) @ vectors.T
-    return 0.5 * (out + out.T)
+    low, tol = float(values.min()), _PSD_RTOL * max(1.0, float(np.abs(values).max()))
+    if low < -tol:      # reported in a's units: an eigenvalue beyond range reads -inf
+        raise NotPSD(f"matrix has eigenvalue {low * unit:.3e} below -{tol * unit:.1e}")
+    scaled = np.maximum(values, 0.0) + ridge / unit
+    if power < 0.0 and not scaled.min() > 0.0:
+        raise NotPSD(f"matrix is singular; its power {power} is undefined")
+    out = (vectors * scaled ** power) @ vectors.T
+    return 0.5 * (out + out.T) * unit ** power
 
 
 def inverse_sqrt_spd(m, ridge: float | None = None) -> np.ndarray:
@@ -158,6 +151,5 @@ class RngStream:
 
     def normal(self, size=None) -> np.ndarray:
         """Standard normals via the inverse CDF, one uniform per draw."""
-        # imported here so that only code which draws normals loads scipy
         from scipy.special import ndtri
         return ndtri(self.uniform(size))

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/, with any
+RuntimeWarning an error, as pyproject.toml sets for the in-process tests."""
 
 import os
 import subprocess
@@ -17,6 +18,6 @@ def test_demo_exits_zero(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run([sys.executable, str(demo)], cwd=REPO, env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            cwd=REPO, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

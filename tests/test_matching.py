@@ -121,6 +121,13 @@ class TestBuildMetric:
         with pytest.raises(InvalidArgument):
             build_metric(np.ones((1, 2)))
 
+    def test_one_dimensional_scores_raise(self):
+        # a length-n propensity vector is n subjects, not one row of n scores
+        ps = RngStream(53).uniform(40)
+        with pytest.raises(InvalidArgument) as info:
+            build_metric(ps)
+        assert str(info.value) == "scores must be n x k, such as ps[:, None]; got shape (40,)"
+
     def test_covariance_bits_equal_np_cov(self):
         # the pooled covariance is np.cov's arithmetic written out, so the
         # whitening map keeps its bits for C, Fortran and strided scores
@@ -175,6 +182,17 @@ class TestFindMatches:
         t = np.array([1, 0, 0])
         with pytest.raises(InvalidArgument, match=rf"^{re.escape(message)}$"):
             find_matches(z, t, MahalanobisMetric(np.eye(1)), n_matches, direction)
+
+    def test_one_dimensional_scores_raise(self):
+        ps = RngStream(54).uniform(40)
+        t = np.array([1, 0] * 20)
+        with pytest.raises(InvalidArgument) as info:
+            find_matches(ps, t, MahalanobisMetric(np.eye(1)), 1, FOR_TREATED)
+        assert str(info.value) == "scores must be n x k, such as ps[:, None]; got shape (40,)"
+        sample = ObservationalSample(ps[:, None], t, ps)
+        for make_score in (lambda: BalancingScore(ps, ps), lambda: BalancingScore.ambient(ps)):
+            with pytest.raises(InvalidArgument, match=r"got shape \(40,\)"):
+                estimate(sample, make_score())
 
     def test_whitening_map_must_be_k_by_k(self):
         z = np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.2], [2.0, 1.0]])

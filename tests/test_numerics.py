@@ -179,6 +179,23 @@ class TestSpdPower:
         assert np.array_equal(spd_power(np.diag([4.0, 0.0]), 0.5), np.diag([2.0, 0.0]))
 
 
+class TestSingularPower:
+    """A negative power needs every eigenvalue plus ridge to be positive."""
+
+    @pytest.mark.parametrize("m", [[[0.0]], np.diag([1.0, 0.0]), [[1.0, 1.0], [1.0, 1.0]]])
+    @pytest.mark.parametrize("power", [-0.5, -1.0])
+    def test_negative_power_of_a_singular_matrix_raises(self, m, power):
+        with pytest.raises(NotPSD) as info:
+            spd_power(m, power)
+        assert str(info.value) == f"matrix is singular; its power {power} is undefined"
+        assert np.isfinite(spd_power(m, power, 1e-8)).all()
+        assert np.isfinite(spd_power(m, -power)).all()
+
+    def test_inverse_sqrt_without_a_ridge_raises(self):
+        with pytest.raises(NotPSD):
+            inverse_sqrt_spd(np.diag([1.0, 0.0]), ridge=0.0)
+
+
 class TestOneValidation:
     """spd_power is the one kernel that validates, ridges and decomposes."""
 
@@ -213,24 +230,93 @@ class TestOneValidation:
         assert np.allclose(inv, expected, rtol=1e-14, atol=0.0)
 
     def test_symmetrised_bits_kept_where_the_sum_is_finite(self):
+        # 0.5 (a + a') overflows on the diagonal only; the kernels return the
+        # bits of the reference route, which keeps the subnormal entry
         tiny = 5e-324
         m = np.array([[1.7e308, tiny, 1.0],
                       [tiny, 3.0, np.nextafter(1.0, 2.0)],
                       [1.0, 1.0, 1.7e308]])
+        assert reference_symmetric(m)[0, 1] == tiny
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sym = numerics._as_symmetric(m)
-        assert sym[0, 0] == sym[2, 2] == 1.7e308
+            assert_reference_bits(m, singular=True)
+
+
+def reference_symmetric(m):
+    """_as_symmetric before the power-of-four rescale: it halved a matrix with
+    an entry of 2^1022 or more, and summed the halves where a + a' overflows."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidMatrix(f"matrix must be square, got shape {a.shape}")
+    if a.size == 0:
+        raise InvalidMatrix("matrix is empty (0 x 0)")
+    if not np.isfinite(a).all():
+        raise InvalidMatrix("matrix contains non-finite entries")
+    scale = 1.0 + np.abs(a).max()
+    big = scale >= 2.0 ** 1022  # then a_ij +- a_ji may overflow; their halves cannot
+    h = 0.5 * a if big else a
+    if np.abs(h - h.T).max() > 1e-10 * (0.5 if big else 1.0) * scale:
+        raise InvalidMatrix("matrix is not symmetric within tolerance")
+    if not big:
+        return 0.5 * (a + a.T)
+    with np.errstate(over="ignore"):  # where a_ij + a_ji overflows, halving first is exact
+        return np.where(np.isinf(a + a.T), h + h.T, 0.5 * (a + a.T))
+
+
+def reference_sym_eigen(m):
+    """sym_eigen before the rescale: eigh of the full-scale matrix."""
+    values, vectors = np.linalg.eigh(reference_symmetric(m))
+    values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
+    lead = np.argmax(np.abs(vectors), axis=0)
+    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+    return values, vectors * signs
+
+
+def reference_spd_power(m, power, ridge=0.0):
+    """spd_power before the rescale: a trace summed term by term where it
+    overflows, and a retry on a / 4^b where an eigenvalue does."""
+    a = reference_symmetric(m)
+    if ridge is None:
         with np.errstate(over="ignore"):
-            plain = 0.5 * (m + m.T)
-        finite = np.isfinite(plain)
-        assert np.array_equal(sym[finite], plain[finite])
-        assert sym[0, 1] == tiny    # halving first would round it to 0
+            mean_diag = float(np.trace(a)) / a.shape[0]
+        if mean_diag == np.inf:  # the diagonal's sum overflowed
+            mean_diag = float((np.diagonal(a) / a.shape[0]).sum())
+        ridge = 1e-8 * (mean_diag if mean_diag > 0.0 else 1.0)
+    values, vectors = (a[0], np.ones((1, 1))) if a.shape[0] == 1 else np.linalg.eigh(a)
+    tol = 1e-10 * max(1.0, float(np.abs(values).max()))
+    if tol == np.inf:  # an eigenvalue overflows: decompose a / 4^b, 4^b > p, exactly
+        unit = 4.0 ** a.shape[0].bit_length()
+        return reference_spd_power(a / unit, power, ridge / unit) * unit ** power
+    if float(values.min()) < -tol:
+        raise NotPSD(f"matrix has eigenvalue {values.min():.3e} below -{tol:.1e}")
+    with np.errstate(divide="ignore"):
+        powered = (np.maximum(values, 0.0) + ridge) ** power
+    out = (vectors * powered) @ vectors.T
+    return 0.5 * (out + out.T)
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def assert_reference_bits(m, singular=False):
+    """The kernels return the reference route's bits on m. singular skips the
+    -1/2 power without a ridge, which the reference returns as inf or NaN."""
+    eig = sym_eigen(m)
+    values, vectors = reference_sym_eigen(m)
+    assert_same_bits(eig.eigenvalues, values)
+    assert_same_bits(eig.eigenvectors, vectors)
+    cases = [(0.5, 0.0), (-0.5, 1e290)] + ([] if singular else [(-0.5, 0.0)])
+    for power, ridge in cases:
+        assert_same_bits(spd_power(m, power, ridge), reference_spd_power(m, power, ridge))
+    assert_same_bits(inverse_sqrt_spd(m), reference_spd_power(m, -0.5, None))
 
 
 def eigh_route(m, power, ridge=0.0):
     """spd_power as it was before its 1 x 1 and overflow branches: always eigh."""
-    a = numerics._as_symmetric(m)
+    a = reference_symmetric(m)
     values, vectors = np.linalg.eigh(a)
     with np.errstate(divide="ignore"):
         powered = (np.maximum(values, 0.0) + ridge) ** power
@@ -244,8 +330,10 @@ class TestOneByOne:
     @pytest.mark.parametrize("a", [0.0, 5e-324, 1e-300, 1.0, 1e300])
     def test_equals_the_eigh_route(self, monkeypatch, a):
         default = 1e-8 * (a if a > 0.0 else 1.0)    # inverse_sqrt_spd's ridge
+        # a negative power of [[0]] raises; TestSingularPower pins that
         expected = {(power, ridge): eigh_route([[a]], power, ridge)
-                    for power in (0.5, -0.5, 1.0) for ridge in (0.0, 1e-8, default)}
+                    for power in (0.5, -0.5, 1.0) for ridge in (0.0, 1e-8, default)
+                    if a > 0.0 or power > 0.0 or ridge > 0.0}
         calls = []
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m))
         for (power, ridge), value in expected.items():
@@ -301,6 +389,25 @@ class TestNearTheLargestDouble:
         m = np.full((10, 10), 4e307)
         root = spd_power(m, 0.5)
         assert np.allclose(root, np.sqrt(4e306), rtol=1e-6, atol=0.0)
+
+    def test_not_psd_reports_the_matrix_units(self):
+        # the eigenvalues +-2.4e308 lie beyond the largest double; the
+        # tolerance is 1e-10 of that
+        with pytest.raises(NotPSD) as info:
+            spd_power([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], 0.5)
+        assert str(info.value) == "matrix has eigenvalue -inf below -2.4e+298"
+        with pytest.raises(NotPSD) as info:
+            inverse_sqrt_spd(np.diag([2.0 ** 1010, -2.0 ** 1000]))
+        assert str(info.value) == "matrix has eigenvalue -1.072e+301 below -1.1e+294"
+
+    def test_kernels_keep_the_reference_bits(self):
+        # seeded positive definite matrices, p = 1 to 8, largest entry 2^990 to 2^1024
+        rng = RngStream(20)
+        for i in range(240):
+            p = 1 + i % 8
+            a = rng.normal((p + 3, p))
+            m = a.T @ a
+            assert_reference_bits(m / np.abs(m).max() * 2.0 ** (990.0 + 34.0 * rng.uniform()))
 
     @pytest.mark.parametrize("m", [
         np.diag([1.7e308, 1.0]),
