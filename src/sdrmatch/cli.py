@@ -306,7 +306,3 @@ def main(argv=None) -> int:
     except SdrMatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ESTIMATION_EXIT
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -138,7 +138,6 @@ class CausalEstimate:
     first, then for-control for the ACE. diagnostics copies the balancing
     score's fit diagnostics."""
 
-    estimand: str
     value: float
     imputed: np.ndarray           # per-subject imputed Y(1-T); NaN where not required
     matches: tuple[MatchedSet, ...]
@@ -196,6 +195,7 @@ _BLOCK_BYTES = 1 << 21
 _ROUNDING = 1e-12
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises InvalidArgument below
 def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
                  direction: str) -> MatchedSet:
     """Exact m-nearest-neighbor search with replacement.
@@ -211,10 +211,10 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     so only the first m of each are kept; with q queries and d donors, the
     generator follows the number of score columns k:
 
-    - k >= 2: per block, a whitened product (float32 where its range allows)
-      bounds each distance below, m argmin passes over the m lowest set each
-      query's cut, and a min pass finds the few queries with more under it.
-      Time is O(d log d + q d (k + m)).
+    - k >= 2: per block, a whitened product (float32 unless its floor is too
+      coarse) bounds each distance below, m argmin passes over the m lowest
+      set each query's cut, and a min pass finds the few queries with more
+      under it. Time is O(d log d + q d (k + m)).
     - k = 1: the donors are sorted by score; the m-th smallest distance to
       the m donors either side of a query bounds a value interval around it
       that holds its first m, read off by two bisections. Time is
@@ -323,30 +323,35 @@ def _filter_candidates(zq, zd, w, n_matches):
     # included, has approx - tau <= T, so lower <= cut: it is kept, and the
     # re-rank sees the exact order.
     # Range. Every value the filter forms, and every term and partial sum of
-    # D, is at most about 4 k^2 L max|e|^2: float64 holds them when (k+1)^2 L
-    # max|e|^2 < 2^1000 (else every pair goes to the re-rank), float32 when it
-    # is < 2^100. Underflow adds at most 2^-1075 (2^-150 in float32) to an input
-    # or product, scaled later by up to 4 max|e|^2 (D) or 2 max|w| (lower); the
-    # floor (k+1)^3 (s (1 + max|e| + max|w|))^2, s = 2^-535 (2^-70), added to
-    # each tol_x covers this. Float32 needs its floor under 2^-30 max|w|^2.
+    # D, is at most about 4 k^2 L max|e|^2: float32 holds them when (k+1)^2 L
+    # max|e|^2 < 2^100. Else W is divided by a power of two to max|W| <= 1 and
+    # the scores by one to max|z| < 2^(49 - exponent((k+1) k^1.5)), so L <= k^2
+    # and the test holds. Exact division only goes down: D and the filter's
+    # values scale by one power of four, and the re-rank reads unscaled values.
+    # Underflow adds at most 2^-1075 (2^-150 in float32) to an input or product,
+    # scaled later by up to 4 max|e|^2 (D) or 2 max|w| (lower), as max|W| <= 1
+    # after a rescale; the floor (k+1)^3 (s (1 + max|e| + max|w|))^2, s = 2^-535
+    # (2^-70), added to each tol_x covers this. Float32 needs its floor under
+    # 2^-30 max|w|^2. A D that overflows unscaled is not bounded: a pick raises.
     k, n_donors = zq.shape[1], zd.shape[0]
-    centre = zd.mean(axis=0)
-    eq, ed = zq - centre, zd - centre
-    eq2, ed2 = np.einsum("ij,ij->i", eq, eq), np.einsum("ij,ij->i", ed, ed)
-    big_l = np.einsum("ij,ij->", w, w)
-    e2_max = max(eq2.max(), ed2.max())
-    if not (k + 1) ** 2 * big_l * e2_max < 2.0 ** 1000:
-        step = max(1, _BLOCK_BYTES // 8 // n_donors)
-        for lo in range(0, zq.shape[0], step):
-            hi = min(lo + step, zq.shape[0])
-            yield lo, hi, *divmod(np.arange((hi - lo) * n_donors), n_donors)
-        return
+    for rescaled in (False, True):      # at most one rescale
+        centre = zd.mean(axis=0)
+        eq, ed = zq - centre, zd - centre
+        eq2, ed2 = np.einsum("ij,ij->i", eq, eq), np.einsum("ij,ij->i", ed, ed)
+        big_l = np.einsum("ij,ij->", w, w)
+        e2_max = max(eq2.max(), ed2.max())
+        if rescaled or (k + 1) ** 2 * big_l * e2_max < 2.0 ** 100:
+            break
+        room = 49 - np.frexp((k + 1) * k ** 1.5)[1]
+        shift = max(0, np.frexp(max(np.abs(zq).max(), np.abs(zd).max()))[1] - room)
+        w = np.ldexp(w, -max(0, np.frexp(np.abs(w).max())[1]))
+        zq, zd = np.ldexp(zq, -shift), np.ldexp(zd, -shift)
     wq, wd = eq @ w, ed @ w
     wq2, nd = np.einsum("ij,ij->i", wq, wq), np.einsum("ij,ij->i", wd, wd)
     w2_max = max(wq2.max(), nd.max())
     spread = (k + 1) ** 1.5 * (1.0 + np.sqrt(e2_max) + np.sqrt(w2_max))
-    dtype, c_w, s = ((np.float32, 1e-5, -70) if (k + 1) ** 2 * big_l * e2_max < 2.0 ** 100
-                     and spread ** 2 < 2.0 ** 110 * w2_max else (np.float64, _ROUNDING, -535))
+    dtype, c_w, s = ((np.float32, 1e-5, -70) if spread ** 2 < 2.0 ** 110 * w2_max
+                     else (np.float64, _ROUNDING, -535))
     floor, per_w, per_e = (2.0 ** s * spread) ** 2, c_w * (k + 1), _ROUNDING * (k + 1) * big_l
     tol_q = per_w * wq2 + per_e * eq2 + floor
     tol_d = per_w * nd + per_e * ed2 + floor
@@ -398,7 +403,7 @@ def _window_candidates(xq, xs, c, n_matches):
         window = np.where((pos >= 0) & (pos < size), diff * c * diff, np.inf)
         cut[lo:lo + step] = np.partition(window, m - 1, axis=1)[:, m - 1]
     tiny = 2.0 ** -1074
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore"):
         r = (tiny / c + np.sqrt(cut + tiny) / np.sqrt(c)) * (1.0 + 2.0 ** -48)
         start = np.searchsorted(xs, np.nextafter(xq - r, -np.inf), side="left")
         stop = np.searchsorted(xs, np.nextafter(xq + r, np.inf), side="right")
@@ -453,4 +458,4 @@ def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str =
     for mset in matched:
         imputed[mset.query_indices] = impute(sample, mset)
     value = float(((2 * t - 1) * (y - imputed))[~np.isnan(imputed)].mean())
-    return CausalEstimate(estimand, value, imputed, tuple(matched), dict(score.diagnostics))
+    return CausalEstimate(value, imputed, tuple(matched), dict(score.diagnostics))

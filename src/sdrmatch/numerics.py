@@ -83,12 +83,13 @@ def spd_power(m, power: float, ridge: float | None = 0.0) -> np.ndarray:
     means the scale-aware ridge 1e-8 * trace/p, or 1e-8 when the trace is zero.
 
     Raises:
-        InvalidArgument: negative ridge.
+        InvalidArgument: a power or ridge that is not finite, or a negative ridge.
         InvalidMatrix: non-square, empty, non-finite, or asymmetric input.
         NotPSD: a meaningfully negative eigenvalue, or a zero one (plus ridge) at power < 0.
     """
-    if ridge is not None and ridge < 0.0:
-        raise InvalidArgument(f"ridge must be >= 0, got {ridge}")
+    if not (math.isfinite(power) and (ridge is None or 0.0 <= ridge < math.inf)):
+        raise InvalidArgument("power and ridge must be finite and the ridge >= 0; "
+                              f"got power {power}, ridge {ridge}")
     a, unit = _as_symmetric(m)
     if ridge is None:   # 1e-8 times a's mean diagonal, formed where it cannot overflow
         mean_diag = float(np.trace(a)) / a.shape[0]

@@ -418,9 +418,6 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
 # True effects
 # =============================================================================
 
-_ANALYTIC_ACE = {"I": 4.25, "II": 1.0, "III": 10.0 ** -0.5}
-
-
 def monte_carlo_truth(spec: ScenarioSpec, estimand: str, seed: int,
                       n_draws: int = _TRUTH_DRAWS) -> float:
     """High-n Monte Carlo oracle for the true effect, on a dedicated stream.
@@ -462,8 +459,9 @@ def true_effect(spec: ScenarioSpec, estimand: str, seed: int) -> tuple[float, st
         raise InvalidArgument(f"unknown estimand {estimand!r}")
     if spec.family == "case3":
         return float(spec.design.treatment_effect), "analytic"
-    if estimand == "ace" and spec.model in _ANALYTIC_ACE:
-        return _ANALYTIC_ACE[spec.model], "analytic"
+    if estimand == "ace" and spec.model in ("I", "II", "III"):
+        # model III: half the treated arm's mean of x_4 + x_5, 2 p^-0.5
+        return {"I": 4.25, "II": 1.0, "III": spec.p ** -0.5}[spec.model], "analytic"
     if estimand == "acet" and spec.model == "II":
         # constant effect: ACET equals ACE exactly
         return 1.0, "analytic"

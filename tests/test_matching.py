@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -294,12 +295,13 @@ class TestExactness:
     def check(self, z, t, m, direction, metric=None):
         metric = metric or build_metric(z)
         mine = find_matches(z, t, metric, m, direction)
-        queries, expected = brute_force_matches(
-            z, t, metric.inverse_covariance, m, direction
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # the loop reference may overflow
+            queries, expected = brute_force_matches(
+                z, t, metric.inverse_covariance, m, direction
+            )
+            distances = brute_force_distances(z, queries, expected, metric.inverse_covariance)
         assert mine.query_indices.tolist() == queries
         assert mine.donor_indices.tolist() == expected
-        distances = brute_force_distances(z, queries, expected, metric.inverse_covariance)
         assert mine.distances.tolist() == distances
 
     def test_ties_and_scales(self):
@@ -494,10 +496,12 @@ class TestExactness:
     def test_float32_switch(self, monkeypatch, switch, side):
         # W = c I sets a quantity at twice or half its float32 threshold:
         # "range", 2^100 / ((k+1)^2 L max|e|^2), with c near 2^45, where every
-        # product value fits float32; "floor", 2^-30 max|w|^2 over the float32
-        # floor, with c near 2^-53, where the cut stays sharp
+        # product value fits float32 (past it, an exact rescale keeps float32);
+        # "floor", 2^-30 max|w|^2 over the float32 floor, with c near 2^-53,
+        # where the cut stays sharp
         seen = self.product_dtypes(monkeypatch)
         factor = 2.0 if side == "float32" else 0.5
+        expected = np.dtype(np.float32 if switch == "range" else side)
         rng = RngStream(85)
         for k in (2, 3):
             z = rng.normal((30, k))
@@ -512,7 +516,7 @@ class TestExactness:
                 for m in range(1, 6):
                     seen.clear()
                     self.check(z, t, m, direction, MahalanobisMetric(c * np.eye(k)))
-                    assert seen and set(seen) == {np.dtype(side)}
+                    assert seen and set(seen) == {expected}
 
     def test_float32_where_w_underflows(self, monkeypatch):
         # most rows lie within 1e-22 of 0, so their |w|^2 of about 1e-44 and
@@ -609,18 +613,18 @@ class TestExactness:
             metric = MahalanobisMetric((1.0 + 99.0 * rng.uniform()) * np.eye(k))
             inv = metric.inverse_covariance
             for direction in (FOR_TREATED, FOR_CONTROL):
-                with np.errstate(over="ignore"):
+                with np.errstate(over="ignore"):    # the loop reference overflows
                     queries, expected = brute_force_matches(z, t, inv, m, direction)
                     distances = brute_force_distances(z, queries, expected, inv)
-                    overflow = [q for q, row in zip(queries, distances)
-                                if not np.isfinite(row).all()]
-                    if overflow:
-                        with pytest.raises(InvalidArgument, match="overflows"):
-                            find_matches(z, t, metric, m, direction)
-                    keep = np.setdiff1d(np.arange(30), overflow)
-                    if len(overflow) < len(queries):
-                        self.check(z[keep], t[keep], m, direction, metric)
-                        checked += len(queries) - len(overflow)
+                overflow = [q for q, row in zip(queries, distances)
+                            if not np.isfinite(row).all()]
+                if overflow:
+                    with pytest.raises(InvalidArgument, match="overflows"):
+                        find_matches(z, t, metric, m, direction)
+                keep = np.setdiff1d(np.arange(30), overflow)
+                if len(overflow) < len(queries):
+                    self.check(z[keep], t[keep], m, direction, metric)
+                    checked += len(queries) - len(overflow)
         assert checked >= 200
 
     def test_overflowing_distance_raises(self):
@@ -628,8 +632,57 @@ class TestExactness:
         # though donor 3 is half as far
         z = np.array([[1e155, 0.0], [-1e155, 0.0], [-2e155, 0.0], [0.0, 0.0]])
         t = np.array([1, 0, 0, 0])
-        with np.errstate(over="ignore"), pytest.raises(InvalidArgument, match="overflows"):
+        with pytest.raises(InvalidArgument, match="overflows"):
             find_matches(z, t, MahalanobisMetric(np.eye(2)), 1, FOR_TREATED)
+
+    def test_extreme_scales(self):
+        # scores near 1e+-300 and whitening maps near 1e+-150, a third of them
+        # tied integer rows: past float32's range the filter rescales exactly,
+        # and a call whose reference picks an overflowing distance raises
+        rng = RngStream(87)
+        rescaled = 0
+        for rep in range(120):
+            k, m = 2 + rep % 9, 1 + rep % 5
+            n = 2 * m + 8 + int(rng.uniform() * 16)
+            z = np.floor(rng.uniform((n, k)) * 3.0) if rep % 3 == 0 else rng.normal((n, k))
+            size = 340.0 * rng.uniform() - 170.0             # log10 of |z W|
+            scale = np.clip(size + 300.0 * rng.uniform() - 150.0, -300.0, 300.0)
+            z = z * 10.0 ** scale
+            metric = MahalanobisMetric(rng.normal((k, k)) * 10.0 ** (size - scale))
+            t = (rng.uniform(n) < 0.5).astype(int)
+            if t.sum() < m or (1 - t).sum() < m:
+                continue
+            inv = metric.inverse_covariance
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                with np.errstate(over="ignore", invalid="ignore"):  # the loop reference overflows
+                    queries, expected = brute_force_matches(z, t, inv, m, direction)
+                    distances = brute_force_distances(z, queries, expected, inv)
+                if np.isfinite(distances).all():
+                    self.check(z, t, m, direction, metric)
+                    rescaled += size > 15.0
+                else:
+                    with pytest.raises(InvalidArgument, match="overflows"):
+                        find_matches(z, t, metric, m, direction)
+        assert rescaled >= 50
+
+    def test_extreme_inputs_raise_without_a_warning(self):
+        # finite scores near 1e+-307 and whitening maps near 1e+-160: every
+        # call returns or raises InvalidArgument, and numpy warns of nothing
+        rng = RngStream(88)
+        for rep in range(300):
+            k, m = 1 + rep % 6, 1 + rep % 3
+            z = rng.normal((24, k)) * 10.0 ** (614.0 * rng.uniform() - 307.0)
+            w = rng.normal((k, k)) * 10.0 ** (320.0 * rng.uniform() - 160.0)
+            t = (rng.uniform(24) < 0.5).astype(int)
+            if t.sum() < m or (1 - t).sum() < m:
+                continue
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        find_matches(z, t, MahalanobisMetric(w), m, direction)
+                    except InvalidArgument:
+                        pass
 
     def test_tiny_scores_tolerance_underflows(self):
         # d^2 near or below the smallest normal float: the relative
@@ -693,6 +746,22 @@ class TestExactness:
         t = (RngStream(75).uniform(n) < 0.5).astype(int)
         assert self.traced_peak(z, t, m) < 64 * 2**20
         assert sum(seen) <= t.sum() * m
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_out_of_range_scores_re_rank_about_m_pairs(self, monkeypatch, m):
+        # scores near 1e160 with W = 1e-158 I take (k+1)^2 L max|e|^2 past
+        # float32's range; after an exact rescale the filter still keeps about
+        # m pairs per query, where every pair would be about (n/2)^2
+        seen = self.count_reranked_pairs(monkeypatch)
+        rng = RngStream(89)
+        n, k = 2_000, 5
+        z = rng.normal((n, k)) * 1e160
+        t = (rng.uniform(n) < 0.5).astype(int)
+        metric = MahalanobisMetric(1e-158 * np.eye(k))
+        for direction in (FOR_TREATED, FOR_CONTROL):
+            seen.clear()
+            matched = find_matches(z, t, metric, m, direction)
+            assert sum(seen) <= 1.2 * matched.query_indices.size * m
 
     @staticmethod
     def shipped_sample():

@@ -173,7 +173,25 @@ class TestSpdPower:
     def test_rejects_negative_ridge(self):
         with pytest.raises(InvalidArgument) as info:
             spd_power(np.eye(2), 0.5, -2.0)
-        assert str(info.value) == "ridge must be >= 0, got -2.0"
+        assert str(info.value) == ("power and ridge must be finite and the ridge >= 0; "
+                                   "got power 0.5, ridge -2.0")
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    @pytest.mark.parametrize("power", [0.5, -0.5])
+    def test_rejects_non_finite_ridge(self, power, ridge):
+        # NaN passes ridge < 0; NaN or inf would spread through the result
+        with pytest.raises(InvalidArgument, match=f"ridge {ridge}$"):
+            spd_power(np.eye(2), power, ridge)
+
+    def test_inverse_sqrt_rejects_nan_ridge(self):
+        # not a NotPSD "matrix is singular"
+        with pytest.raises(InvalidArgument, match="ridge nan$"):
+            inverse_sqrt_spd(np.eye(2), ridge=np.nan)
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_power(self, power):
+        with pytest.raises(InvalidArgument, match=f"got power {power},"):
+            spd_power(np.eye(2), power)
 
     def test_default_ridge_of_spd_power_is_zero(self):
         assert np.array_equal(spd_power(np.diag([4.0, 0.0]), 0.5), np.diag([2.0, 0.0]))

@@ -372,6 +372,18 @@ class TestTruths:
         assert true_effect(scenario("case2-I*"), "ace", 0)[0] == 4.25
         assert true_effect(scenario("case2-II*"), "ace", 0)[0] == 1.0
 
+    @pytest.mark.parametrize("p", [5, 10, 20])
+    def test_analytic_truths_match_monte_carlo(self, p):
+        # the analytic values against 100,000 draws (model I's s.e. is about
+        # 0.01): model III's ACE is p^-0.5, 0.09 or more from 10^-0.5 at p = 5, 20
+        for case, estimand in [("case1-I", "ace"), ("case1-II", "ace"), ("case1-II", "acet"),
+                               ("case1-III", "ace"), ("case2-I*", "ace"), ("case2-II*", "ace"),
+                               ("case2-II*", "acet")]:
+            spec = scenario(case, p=p)
+            assert true_effect(spec, estimand, seed=0)[1] == "analytic"
+            mc = monte_carlo_truth(spec, estimand, seed=3, n_draws=100_000)
+            assert true_effect(spec, estimand, seed=0)[0] == pytest.approx(mc, abs=0.05), case
+
     def test_monte_carlo_truth_matches_analytic(self):
         # generator-level check at reduced draw count; the acceptance suite
         # runs the full million-draw version
