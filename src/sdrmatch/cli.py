@@ -28,8 +28,6 @@ from .errors import (
 USAGE_EXIT = 2
 ESTIMATION_EXIT = 3
 
-_ESTIMATE_METHODS = ("sdr", "ambient", "ps-logistic")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -63,8 +61,9 @@ def build_parser() -> _Parser:
 
     est = sub.add_parser("estimate", help="estimate a causal effect from CSV data")
     _add_data_flags(est)
-    est.add_argument("--estimand", choices=("ace", "acet"), default="ace")
-    est.add_argument("--method", choices=_ESTIMATE_METHODS, default="sdr")
+    est.add_argument("--estimand", choices=matching.ESTIMANDS, default="ace")
+    est.add_argument("--method", default="sdr",   # the methods that need no truth
+                     choices=[m for m, (_, truth) in matching.METHODS.items() if not truth])
     est.add_argument("--m", type=int, default=1, help="matches per subject")
     _add_tuning_flags(est)
     est.add_argument("--output", help="write per-subject imputations CSV here")
@@ -76,7 +75,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--p", type=int, default=10, help="covariate dimension")
     sim.add_argument("--reps", type=int, required=True, help="replicates (>= 2)")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--estimand", choices=("ace", "acet"), default="ace")
+    sim.add_argument("--estimand", choices=matching.ESTIMANDS, default="ace")
     sim.add_argument("--methods", default="ambient,ps-logistic,ps-true,sdr",
                      help="comma-separated method ids")
     sim.add_argument("--threads", type=int, default=1,
@@ -181,16 +180,6 @@ def _write(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-_METHOD_LABELS = {
-    "ambient": "Ambient (original covariates)",
-    "ps-logistic": "Estimated PS (logistic)",
-    "ps-true": "True PS",
-    "sdr": "SDR (SIR-estimated)",
-    "sdr-oracle": "SDR (oracle)",
-    "active-set-oracle": "Active set (oracle)",
-}
-
-
 def _format_report_csv(report, header: str) -> str:
     lines = [header, "method,bias,sd,rmse,truth,reps,failures"]
     for method, res in report.methods.items():
@@ -209,7 +198,7 @@ def _format_report_text(report, header: str) -> str:
         f"{'method':<32}{'bias':>12}{'sd':>12}{'rmse':>12}{'failures':>10}",
     ]
     for method, res in report.methods.items():
-        label = _METHOD_LABELS[method]
+        label = matching.METHODS[method][0]
         lines.append(
             f"{label:<32}{res.bias:>12.4f}{res.sd:>12.4f}{res.rmse:>12.4f}"
             f"{res.failures:>10d}"

@@ -32,10 +32,6 @@ class InsufficientData(SdrMatchError):
 class SliceError(SdrMatchError):
     """Outcome ties collapsed the slicing below two usable slices."""
 
-    def __init__(self, message, effective_slices):
-        super().__init__(message)
-        self.effective_slices = effective_slices
-
 
 class DegenerateLabels(SdrMatchError):
     """Binary labels contain only one class."""

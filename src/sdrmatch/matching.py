@@ -19,6 +19,8 @@ from .errors import InsufficientDonors, InvalidArgument, InvalidMatrix
 from .propensity import fit_logistic, predict_ps
 
 __all__ = [
+    "ESTIMANDS",
+    "METHODS",
     "BalancingScore",
     "MahalanobisMetric",
     "MatchedSet",
@@ -32,6 +34,18 @@ __all__ = [
 
 FOR_TREATED = "for-treated"
 FOR_CONTROL = "for-control"
+
+ESTIMANDS = ("ace", "acet")
+# method id -> (text-report label, reads the data-generating truth), in the
+# order simulation.scenario runs them by default
+METHODS = {
+    "ambient": ("Ambient (original covariates)", False),
+    "ps-logistic": ("Estimated PS (logistic)", False),
+    "ps-true": ("True PS", True),
+    "sdr": ("SDR (SIR-estimated)", False),
+    "sdr-oracle": ("SDR (oracle)", True),
+    "active-set-oracle": ("Active set (oracle)", True),
+}
 
 
 @dataclass(frozen=True)
@@ -71,9 +85,11 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
     Raises:
         InvalidArgument: unknown method, or a truth-based method without truth.
     """
-    x = sample.covariates
-    if truth is None and method in ("ps-true", "sdr-oracle", "active-set-oracle"):
+    if method not in METHODS:
+        raise InvalidArgument(f"unknown method {method!r}")
+    if truth is None and METHODS[method][1]:
         raise InvalidArgument(f"method {method!r} needs the data-generating truth")
+    x = sample.covariates
     if method == "ambient":
         return BalancingScore.ambient(x)
     if method == "ps-logistic":
@@ -97,9 +113,7 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
     if method == "sdr-oracle":
         return BalancingScore(x @ truth.spec.oracle_basis_control,
                               x @ truth.spec.oracle_basis_treated)
-    if method == "active-set-oracle":
-        return BalancingScore.ambient(x[:, list(truth.spec.active_columns)])
-    raise InvalidArgument(f"unknown method {method!r}")
+    return BalancingScore.ambient(x[:, list(truth.spec.active_columns)])  # active-set-oracle
 
 
 @dataclass(frozen=True)
@@ -442,7 +456,7 @@ def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str =
         InvalidArgument: unknown estimand, or an ACE without an into_treated
             score.
     """
-    if estimand not in ("ace", "acet"):
+    if estimand not in ESTIMANDS:
         raise InvalidArgument(f"unknown estimand {estimand!r}")
     if estimand == "ace" and score.into_treated is None:
         raise InvalidArgument("ACE needs an into_treated score")

@@ -42,7 +42,6 @@ class SlicedMoments:
     outcomes.
     """
 
-    boundaries: np.ndarray      # (H,), strictly increasing upper boundaries
     slice_means: np.ndarray     # (H, p)
     slice_sizes: np.ndarray     # (H,), sums to the group size
 
@@ -83,8 +82,8 @@ def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> Slic
 
     Raises:
         InvalidArgument: n_slices < 2 or fewer subjects than slices.
-        SliceError: fewer than two slices survive tie collapsing; carries the
-            effective slice count.
+        SliceError: fewer than two slices survive tie collapsing; the message
+            states the effective slice count.
     """
     y = np.asarray(outcomes, dtype=float)
     z = np.atleast_2d(np.asarray(standardized_covariates, dtype=float))
@@ -100,10 +99,7 @@ def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> Slic
     idx = [math.ceil(j * n / n_slices) for j in range(1, n_slices + 1)]
     boundaries = np.unique(y_sorted[np.asarray(idx) - 1])
     if boundaries.shape[0] < 2:
-        raise SliceError(
-            f"outcome ties leave {boundaries.shape[0]} usable slice(s)",
-            effective_slices=int(boundaries.shape[0]),
-        )
+        raise SliceError(f"outcome ties leave {boundaries.shape[0]} usable slice(s)")
 
     # every boundary is an observed outcome, so no slice is empty
     assignment = np.searchsorted(boundaries, y, side="left")
@@ -113,7 +109,7 @@ def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> Slic
     means = np.empty((k, z.shape[1]))
     for j in range(k):
         means[j] = z[assignment == j].mean(axis=0)
-    return SlicedMoments(boundaries=boundaries, slice_means=means, slice_sizes=sizes)
+    return SlicedMoments(slice_means=means, slice_sizes=sizes)
 
 
 def candidate_matrix(sliced: SlicedMoments) -> np.ndarray:

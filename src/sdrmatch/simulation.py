@@ -35,7 +35,6 @@ __all__ = [
     "Case3Config",
     "MethodResult",
     "MonteCarloReport",
-    "ALL_METHODS",
     "SCENARIO_IDS",
     "scenario",
     "load_case3_config",
@@ -45,8 +44,6 @@ __all__ = [
     "true_effect",
     "run_monte_carlo",
 ]
-
-ALL_METHODS = ("ambient", "ps-logistic", "ps-true", "sdr", "sdr-oracle", "active-set-oracle")
 
 CASE1_IDS = ("case1-I", "case1-II", "case1-III", "case1-IV")
 CASE2_IDS = ("case2-I*", "case2-II*")
@@ -62,7 +59,6 @@ _CHUNK = 200_000
 CASE3_P = 10
 CASE3_BINARY = (1, 3, 5, 6, 8, 9)
 CASE3_CORRELATION_PAIRS = ((1, 5, 0.2), (3, 8, 0.2), (2, 6, 0.9), (4, 9, 0.9))
-_POINT_BISERIAL_MAX = float(np.exp(-0.5 * np.log(2 * np.pi)) / 0.5)  # phi(0)/0.5
 
 
 # =============================================================================
@@ -78,11 +74,6 @@ class Case3Config:
     treatment_effect: float
     noise_sd: float
     scenarios: dict                          # letter -> list of term tuples
-
-    def terms(self, letter: str) -> list:
-        if letter not in self.scenarios:
-            raise ConfigError(f"config has no scenario {letter!r}")
-        return self.scenarios[letter]
 
 
 @dataclass(frozen=True)
@@ -167,8 +158,8 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
         raise InvalidArgument(f"n must be >= 50, got {n}")
     if p < 2:
         raise InvalidArgument(f"p must be >= 2, got {p}")
-    methods = tuple(methods) if methods is not None else ALL_METHODS
-    unknown = [m for m in methods if m not in ALL_METHODS]
+    methods = tuple(methods) if methods is not None else tuple(matching.METHODS)
+    unknown = [m for m in methods if m not in matching.METHODS]
     if unknown:
         raise InvalidArgument(f"unknown methods: {', '.join(unknown)}")
     if not methods:
@@ -200,7 +191,8 @@ def scenario(case: str, n: int = 500, p: int = 10, methods=None,
         raise ConfigError(f"scenario {case} requires a coefficient config")
     if p != CASE3_P:
         raise InvalidArgument(f"family-3 scenarios are fixed at p={CASE3_P}")
-    coefficients.terms(model)  # validate the scenario letter exists
+    if model not in coefficients.scenarios:
+        raise ConfigError(f"config has no scenario {model!r}")
     omega = coefficients.outcome_coefficients
     basis = _unit(omega).reshape(-1, 1)
     active = tuple(int(i) for i in np.flatnonzero(omega != 0.0))
@@ -348,30 +340,19 @@ def _case1_arms(spec: ScenarioSpec, rng: RngStream, n: int):
     return t, x
 
 
-def case3_latent_correlation(i: int, j: int, target: float) -> float:
-    """Latent Gaussian correlation that realizes the target after dichotomizing.
-
-    Binary-binary pairs invert the tetrachoric relation phi-corr =
-    (2/pi) arcsin(rho). Binary-continuous pairs invert the point-biserial
-    relation corr = rho * phi(0)/0.5 when feasible; targets above the
-    attainable maximum (~0.798) are treated as latent correlations, matching
-    the source designs this family mirrors.
-    """
-    bi = i in CASE3_BINARY
-    bj = j in CASE3_BINARY
-    if bi and bj:
-        return float(np.sin(np.pi * target / 2.0))
-    if bi or bj:
-        scaled = target / _POINT_BISERIAL_MAX
-        return float(scaled) if abs(scaled) < 0.99 else float(target)
-    return float(target)
-
-
 @functools.cache
 def _case3_latent_root() -> np.ndarray:
+    """Root of the latent Gaussian correlation that dichotomizes to the targets.
+
+    Binary-binary pairs invert the tetrachoric relation phi-corr =
+    (2/pi) arcsin(rho). The binary-continuous targets (0.9) exceed the
+    attainable point-biserial maximum, phi(0)/0.5 ~ 0.798, so they are used
+    as latent correlations, matching the source designs this family mirrors.
+    """
     corr = np.eye(CASE3_P)
     for i, j, target in CASE3_CORRELATION_PAIRS:
-        rho = case3_latent_correlation(i, j, target)
+        both = i in CASE3_BINARY and j in CASE3_BINARY
+        rho = float(np.sin(np.pi * target / 2.0)) if both else target
         corr[i - 1, j - 1] = corr[j - 1, i - 1] = rho
     return spd_power(corr, 0.5)
 
@@ -403,7 +384,7 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
         else:
             x = _case3_covariates(rng, n)
             with np.errstate(over="ignore"):  # exp(-logit) = inf gives ps = 0
-                ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.design.terms(spec.model), x)))
+                ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.design.scenarios[spec.model], x)))
         t = (rng.uniform(n) < ps).astype(np.int64)
     eps = rng.normal(n) * spec.noise_sd
     y = _mean_outcome(spec, x, t) + eps
@@ -425,7 +406,7 @@ def monte_carlo_truth(spec: ScenarioSpec, estimand: str, seed: int,
     Raises:
         InvalidArgument: an estimand other than "ace" or "acet", or n_draws < 1.
     """
-    if estimand not in ("ace", "acet"):
+    if estimand not in matching.ESTIMANDS:
         raise InvalidArgument(f"unknown estimand {estimand!r}")
     if n_draws < 1:
         raise InvalidArgument(f"n_draws must be >= 1, got {n_draws}")
@@ -455,7 +436,7 @@ def monte_carlo_truth(spec: ScenarioSpec, estimand: str, seed: int,
 
 def true_effect(spec: ScenarioSpec, estimand: str, seed: int) -> tuple[float, str]:
     """True effect value plus its source ('analytic' or 'monte-carlo')."""
-    if estimand not in ("ace", "acet"):
+    if estimand not in matching.ESTIMANDS:
         raise InvalidArgument(f"unknown estimand {estimand!r}")
     if spec.family == "case3":
         return float(spec.design.treatment_effect), "analytic"

@@ -50,4 +50,21 @@ def test_copied_and_derivable_state_is_gone():
     assert fields(sdrmatch.ObservationalSample) == ["covariates", "treatment", "outcome"]
     assert fields(sdrmatch.GeneratedData) == ["sample", "true_ps", "spec"]
     assert fields(sdrmatch.MethodResult) == ["bias", "sd", "rmse", "failures"]
-    assert fields(sdrmatch.SlicedMoments) == ["boundaries", "slice_means", "slice_sizes"]
+    assert fields(sdrmatch.SlicedMoments) == ["slice_means", "slice_sizes"]
+    assert not hasattr(sdrmatch.errors.SliceError("x"), "effective_slices")
+    assert not hasattr(sdrmatch.Case3Config, "terms")
+    assert not hasattr(module("simulation"), "case3_latent_correlation")
+
+
+def test_matching_owns_the_method_and_estimand_vocabulary():
+    from sdrmatch import cli
+
+    assert sdrmatch.ESTIMANDS == ("ace", "acet")
+    assert list(sdrmatch.METHODS) == ["ambient", "ps-logistic", "ps-true", "sdr",
+                                      "sdr-oracle", "active-set-oracle"]
+    assert [m for m, (_, truth) in sdrmatch.METHODS.items() if truth] == [
+        "ps-true", "sdr-oracle", "active-set-oracle"]
+    assert sdrmatch.scenario("case1-I").methods == tuple(sdrmatch.METHODS)
+    assert not hasattr(module("simulation"), "ALL_METHODS")
+    assert not hasattr(cli, "_ESTIMATE_METHODS")
+    assert not hasattr(cli, "_METHOD_LABELS")

@@ -27,15 +27,15 @@ class TestSlicing:
         y = np.arange(1.0, 11.0)
         z = np.arange(10.0).reshape(-1, 1)
         sliced = slice_by_quantiles(y, z, 5)
-        assert np.allclose(sliced.boundaries, [2, 4, 6, 8, 10])
+        # q_j = y_(2j): slice j holds z = 2j - 2 and 2j - 1
         assert sliced.slice_sizes.tolist() == [2, 2, 2, 2, 2]
+        assert sliced.slice_means[:, 0].tolist() == [0.5, 2.5, 4.5, 6.5, 8.5]
 
     def test_all_ties_raises(self):
         y = np.ones(8)
         z = np.zeros((8, 2))
-        with pytest.raises(SliceError) as err:
+        with pytest.raises(SliceError, match=r"^outcome ties leave 1 usable slice\(s\)$"):
             slice_by_quantiles(y, z, 2)
-        assert err.value.effective_slices == 1
 
     def test_single_slice_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -75,14 +75,13 @@ class TestSlicing:
                 continue
             assert sliced.slice_sizes.sum() == n
             assert (sliced.slice_sizes > 0).all()
-            assert sliced.slice_sizes.shape == sliced.boundaries.shape
+            assert sliced.slice_means.shape == (sliced.slice_sizes.size, 1)
 
 
 class TestCandidateMatrix:
     def test_single_slice_zero_mean(self):
         # single slice: its mean is the standardized overall mean, i.e. zero
         sliced = SlicedMoments(
-            boundaries=np.array([1.0]),
             slice_means=np.zeros((1, 3)),
             slice_sizes=np.array([10]),
         )
@@ -90,7 +89,6 @@ class TestCandidateMatrix:
 
     def test_two_slice_hand_example(self):
         sliced = SlicedMoments(
-            boundaries=np.array([0.0, 1.0]),
             slice_means=np.array([[1.0, 0.0], [-1.0, 0.0]]),
             slice_sizes=np.array([5, 5]),
         )
@@ -98,7 +96,6 @@ class TestCandidateMatrix:
 
     def test_slices_weighted_by_size(self):
         sliced = SlicedMoments(
-            boundaries=np.array([0.0, 1.0]),
             slice_means=np.array([[2.0], [-0.5]]),
             slice_sizes=np.array([2, 8]),
         )
@@ -120,7 +117,7 @@ class TestCandidateMatrix:
     def test_psd(self):
         rng = RngStream(35)
         means = rng.normal((4, 3))
-        sliced = SlicedMoments(np.arange(4.0), means, np.full(4, 5))
+        sliced = SlicedMoments(means, np.full(4, 5))
         from sdrmatch.numerics import sym_eigen
         values = sym_eigen(candidate_matrix(sliced)).eigenvalues
         assert values.min() >= -1e-10

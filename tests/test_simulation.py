@@ -12,7 +12,6 @@ from sdrmatch.numerics import RngStream
 from sdrmatch.simulation import (
     CASE3_BINARY,
     CASE3_CORRELATION_PAIRS,
-    case3_latent_correlation,
     effect_function,
     generate,
     load_case3_config,
@@ -28,9 +27,11 @@ COEF_CONFIG = REPO / "configs" / "case3_coefficients.json"
 
 def case3_realized_correlation(i: int, j: int, target: float) -> float:
     """Product-moment correlation the calibrated latent design actually yields."""
-    rho = case3_latent_correlation(i, j, target)
     bi = i in CASE3_BINARY
     bj = j in CASE3_BINARY
+    # latent rho: binary pairs invert the tetrachoric relation (2/pi) arcsin(rho);
+    # the other pairs' targets are taken as latent correlations
+    rho = float(np.sin(np.pi * target / 2.0)) if bi and bj else target
     if bi and bj:
         return float(2.0 / np.pi * np.arcsin(rho))
     if bi or bj:
@@ -82,7 +83,7 @@ class TestScenarioSpecs:
             scenario("case3-A", p=9, coefficients=config)
 
     def test_case3_letter_missing_from_config(self, config):
-        cfg = dataclasses.replace(config, scenarios={"A": config.terms("A")})
+        cfg = dataclasses.replace(config, scenarios={"A": config.scenarios["A"]})
         with pytest.raises(ConfigError, match=r"^config has no scenario 'B'$"):
             scenario("case3-B", coefficients=cfg)
 
