@@ -62,7 +62,7 @@ def build_parser() -> _Parser:
     est = sub.add_parser("estimate", help="estimate a causal effect from CSV data")
     _add_data_flags(est)
     est.add_argument("--estimand", choices=matching.ESTIMANDS, default="ace")
-    est.add_argument("--method", default="sdr",   # the methods that need no truth
+    est.add_argument("--method", default="sdr",
                      choices=[m for m, (_, truth) in matching.METHODS.items() if not truth])
     est.add_argument("--m", type=int, default=1, help="matches per subject")
     _add_tuning_flags(est)

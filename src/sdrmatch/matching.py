@@ -83,10 +83,12 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
     covariates the outcome depends on).
 
     Raises:
-        InvalidArgument: unknown method, or a truth-based method without truth.
+        InvalidArgument: unknown method, a truth-based method without truth,
+            n_slices < 2 or alpha outside (0, 1), whichever the method.
     """
     if method not in METHODS:
         raise InvalidArgument(f"unknown method {method!r}")
+    check_tuning(n_slices, alpha)
     if truth is None and METHODS[method][1]:
         raise InvalidArgument(f"method {method!r} needs the data-generating truth")
     x = sample.covariates
@@ -114,6 +116,14 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
         return BalancingScore(x @ truth.spec.oracle_basis_control,
                               x @ truth.spec.oracle_basis_treated)
     return BalancingScore.ambient(x[:, list(truth.spec.active_columns)])  # active-set-oracle
+
+
+def check_tuning(n_slices: int, alpha: float) -> None:
+    """Reject SIR tuning that no fit could run with: n_slices < 2, alpha outside (0, 1)."""
+    if n_slices < 2:
+        raise InvalidArgument(f"need at least 2 slices, got {n_slices}")
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -225,10 +235,10 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     so only the first m of each are kept; with q queries and d donors, the
     generator follows the number of score columns k:
 
-    - k >= 2: per block, a whitened product (float32 unless its floor is too
-      coarse) bounds each distance below, m argmin passes over the m lowest
-      set each query's cut, and a min pass finds the few queries with more
-      under it. Time is O(d log d + q d (k + m)).
+    - k >= 2: per block, a whitened product (float32 for k < 1,000 unless its
+      floor is too coarse) bounds each distance below, m argmin passes over
+      the m lowest set each query's cut, and a min pass finds the few queries
+      with more under it. Time is O(d log d + q d (k + m)).
     - k = 1: the donors are sorted by score; the m-th smallest distance to
       the m donors either side of a query bounds a value interval around it
       that holds its first m, read off by two bisections. Time is
@@ -364,7 +374,7 @@ def _filter_candidates(zq, zd, w, n_matches):
     wq2, nd = np.einsum("ij,ij->i", wq, wq), np.einsum("ij,ij->i", wd, wd)
     w2_max = max(wq2.max(), nd.max())
     spread = (k + 1) ** 1.5 * (1.0 + np.sqrt(e2_max) + np.sqrt(w2_max))
-    dtype, c_w, s = ((np.float32, 1e-5, -70) if spread ** 2 < 2.0 ** 110 * w2_max
+    dtype, c_w, s = ((np.float32, 1e-5, -70) if k < 1000 and spread ** 2 < 2.0 ** 110 * w2_max
                      else (np.float64, _ROUNDING, -535))
     floor, per_w, per_e = (2.0 ** s * spread) ** 2, c_w * (k + 1), _ROUNDING * (k + 1) * big_l
     tol_q = per_w * wq2 + per_e * eq2 + floor

@@ -509,10 +509,7 @@ def run_monte_carlo(spec: ScenarioSpec, reps: int, seed: int = 0,
         raise InvalidArgument(f"threads must be >= 1, got {threads}")
     if n_matches < 1:
         raise InvalidArgument(f"n_matches must be >= 1, got {n_matches}")
-    if n_slices < 2:
-        raise InvalidArgument(f"need at least 2 slices, got {n_slices}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
+    matching.check_tuning(n_slices, alpha)
     truth, source = true_effect(spec, estimand, seed)
 
     def work(rep: int) -> dict:

@@ -304,6 +304,21 @@ class TestDiagnose:
         assert code == 0
         assert "propensity," in out
 
+    def test_constant_variable_range_is_widened(self, tmp_path, capsys):
+        # every covariate constant: the reduced covariate is 0 and the fitted
+        # propensity 0.5 for all, so each histogram spans its value +- 0.5
+        f = tmp_path / "const.csv"
+        f.write_text("T,Y,a,b\n" + "".join(f"{i % 2},{i}.0,2.0,-1.0\n" for i in range(40)))
+        code = main(["diagnose", "--input", str(f), "--treatment", "T", "--outcome", "Y",
+                     "--covariates", "a,b", "--bins", "2"])
+        bins = [line for line in capsys.readouterr().out.splitlines() if ",bin," in line]
+        assert code == 0
+        assert bins == [f"{name},{group},bin,{k},{lo},{hi},{count}"
+                        for name, edges in (("reduced_1", (-0.5, 0.0, 0.5)),
+                                            ("propensity", (0.0, 0.5, 1.0)))
+                        for group in ("treated", "control")
+                        for k, (lo, hi, count) in enumerate(zip(edges, edges[1:], (0, 20)))]
+
 
 class TestOutputFile:
     """--output writes exactly the bytes the same run prints without it."""
@@ -473,15 +488,24 @@ class TestErrorFormat:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("alpha", ["nan", "1.5"])
-    def test_estimate_alpha_outside_unit_interval_exits_two(self, alpha, capsys):
+    @pytest.mark.parametrize("method", ["sdr", "ambient", "ps-logistic"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "nan", "alpha must be in (0, 1), got nan"),
+        ("--alpha", "1.5", "alpha must be in (0, 1), got 1.5"),
+        ("--slices", "1", "need at least 2 slices, got 1"),
+    ], ids=["nan", "1.5", "slices-1"])
+    def test_estimate_alpha_outside_unit_interval_exits_two(self, tmp_path, method, flag,
+                                                            value, message, capsys):
+        # every method checks the tuning flags its output header records
+        out_file = tmp_path / "out.csv"
         code = main(["estimate", "--input", str(LALONDE), "--treatment", "treat",
                      "--outcome", "re78", "--covariates", LALONDE_COVARIATES,
-                     "--method", "sdr", "--alpha", alpha])
+                     "--method", method, flag, value, "--output", str(out_file)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: alpha must be in (0, 1), got {alpha}\n"
+        assert captured.err == f"error: {message}\n"
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("body, reason", [
         (b"0,1,2\n1,\xff2,3\n", "not UTF-8 text (invalid start byte)"),

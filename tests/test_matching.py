@@ -535,6 +535,29 @@ class TestExactness:
                     self.check(z, t, m, direction, MahalanobisMetric(np.eye(k)))
         assert set(seen) == {np.dtype(np.float32)}
 
+    @pytest.mark.parametrize("k, expected", [(999, np.float32), (1000, np.float64)])
+    def test_float32_only_below_a_thousand_columns(self, monkeypatch, k, expected):
+        # the float32 tolerance is proven for k below 1,000. With W = I the
+        # canonical d2 adds the squared differences in column order (the
+        # off-diagonal terms are zeros), so an accumulate over columns and a
+        # stable sort by d2 are the reference
+        seen = self.product_dtypes(monkeypatch)
+        rng = RngStream(87)
+        z = rng.normal((24, k))
+        t = np.arange(24) % 2
+        for m in (1, 3):
+            for direction, label in ((FOR_TREATED, 1), (FOR_CONTROL, 0)):
+                mine = find_matches(z, t, MahalanobisMetric(np.eye(k)), m, direction)
+                queries, donors = np.flatnonzero(t == label), np.flatnonzero(t != label)
+                diff = z[queries, None, :] - z[None, donors, :]
+                d2 = np.add.accumulate(diff * diff, axis=2)[:, :, -1]
+                first = np.argsort(d2, axis=1, kind="stable")[:, :m]
+                assert mine.query_indices.tolist() == queries.tolist()
+                assert mine.donor_indices.tolist() == donors[first].tolist()
+                assert mine.distances.tolist() == np.sqrt(
+                    np.take_along_axis(d2, first, axis=1)).tolist()
+        assert set(seen) == {np.dtype(expected)}
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.lists(st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 1.0, 3.0]),
                               st.integers(0, 1)), min_size=2, max_size=40),
@@ -1134,6 +1157,17 @@ class TestBalancingScoreRegistry:
             score = balancing_score(method, data.sample, estimand="ace", n_slices=5,
                                     alpha=0.05, truth=data)
             assert estimate(data.sample, score, "ace").value == pytest.approx(1.0, abs=0.5)
+
+    @pytest.mark.parametrize("method", list(matching.METHODS))
+    @pytest.mark.parametrize("n_slices, alpha, message", [
+        (1, 0.05, "need at least 2 slices, got 1"),
+        (5, 1.0, "alpha must be in (0, 1), got 1.0"),
+    ])
+    def test_every_method_checks_the_tuning(self, method, n_slices, alpha, message):
+        data = generate(scenario("case1-II", n=60), RngStream(65, 0))
+        with pytest.raises(InvalidArgument, match=rf"^{re.escape(message)}$"):
+            balancing_score(method, data.sample, estimand="ace", n_slices=n_slices,
+                            alpha=alpha, truth=data)
 
     def test_unknown_method_and_estimand(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])

@@ -405,6 +405,10 @@ class TestTruths:
         # matches the ACE value here
         assert value == pytest.approx(4.25, abs=0.05)
 
+    def test_case3_monte_carlo_truth_is_the_config_effect(self, config):
+        spec = scenario("case3-C", coefficients=config)
+        for estimand in ("ace", "acet"):
+            assert monte_carlo_truth(spec, estimand, seed=0) == config.treatment_effect == -0.4
 
     def test_unknown_estimand(self):
         with pytest.raises(InvalidArgument, match=r"^unknown estimand 'att'$"):
