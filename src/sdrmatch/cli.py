@@ -115,6 +115,8 @@ def _balancing_score(method: str, sample, args, estimand: str):
 
 
 def cmd_estimate(args) -> int:
+    if args.m < 1:
+        raise InvalidArgument(f"n_matches must be >= 1, got {args.m}")
     sample = _load_sample(args)
     score = _balancing_score(args.method, sample, args, args.estimand)
     result = matching.estimate(sample, score, args.estimand, args.m)

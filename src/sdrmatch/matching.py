@@ -228,21 +228,22 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     treated subject; "for-control" is the reverse.
 
     Donors are ranked by the squared distance that _squared_distances
-    defines, ties going to the smaller donor index. A candidate generator
-    picks, per block of queries, a set of (query, donor) pairs that holds
-    each query's canonical first m; only those pairs are evaluated in the
-    canonical form and re-ranked. Identical donor rows tie for every query,
-    so only the first m of each are kept; with q queries and d donors, the
-    generator follows the number of score columns k:
+    defines, ties going to the smaller donor index. Identical donor rows tie
+    for every query, so only the first m of each are kept. With q queries
+    and d donors, the search follows the number k of score columns; where it
+    cannot settle a query's first m, it hands (query, donor) pairs that hold
+    them to a canonical re-rank:
 
     - k >= 2: per block, a whitened product (float32 for k < 1,000 unless its
       floor is too coarse) bounds each distance below, m argmin passes over
       the m lowest set each query's cut, and a min pass finds the few queries
-      with more under it. Time is O(d log d + q d (k + m)).
-    - k = 1: the donors are sorted by score; the m-th smallest distance to
-      the m donors either side of a query bounds a value interval around it
-      that holds its first m, read off by two bisections. Time is
-      O(d log d + q (m + log d)) when distinct scores rarely tie in distance.
+      with more under it; all are re-ranked. Time is O(d log d + q d (k + m)).
+    - k = 1: the donors are sorted by score. d2 does not decrease away from a
+      query's sorted position, so its first m by (d2, donor index) among the m
+      donors either side are final when the next donor out on each side is
+      strictly farther. Other queries re-rank the value interval that the
+      m-th bounds, read off by two bisections. Time is
+      O(d log d + q (m log m + log d)) when distinct scores rarely tie in distance.
 
     Blocks of at most max(2^18, d) pairs, 2^19 for a float32 product (2 MiB
     either way), share a buffer made once per call, and are re-ranked together
@@ -251,8 +252,8 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     Raises:
         InvalidArgument: scores not n x k, unknown direction, n_matches < 1,
             scores and treatment of different lengths, a whitening map that is
-            not k x k, no subjects to match, NaN/inf in the scores or the
-            metric, or a picked squared distance that overflows.
+            not k x k, k > 4,502, no subjects to match, NaN/inf in the scores
+            or the metric, or a picked squared distance that overflows.
         InsufficientDonors: donor group smaller than n_matches.
     """
     z = _score_matrix(scores)
@@ -271,6 +272,8 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         raise InvalidArgument(
             f"whitening map has shape {w.shape}, scores have {z.shape[1]} columns"
         )
+    if z.shape[1] > 4502:   # the most the filter's rounding bound covers
+        raise InvalidArgument(f"at most 4502 score columns can be matched, got {z.shape[1]}")
     if not np.isfinite(z).all():
         raise InvalidArgument("scores contain NaN or inf")
     inv = metric.inverse_covariance     # non-finite wherever w is
@@ -291,28 +294,28 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     # wrapping integer mix of each row's bits, puts them in runs in index order
     # (rows sharing a key may split a run); keep each run's first m.
     zq, zd = z[queries], z[donors]
-    bits = zd.view(np.uint64)
-    mix = np.cumprod(np.full(z.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64))
-    kept = np.argsort(zd[:, 0] if z.shape[1] == 1 else bits @ mix, kind="stable")
-    bits, pos, run = bits[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
-    run[1:] = (bits[1:] != bits[:-1]).any(axis=1)       # True where a run starts
+    key = zd if z.shape[1] == 1 else zd.view(np.uint64)     # k = 1 by value: -0.0 == 0.0
+    kept = np.argsort(zd[:, 0] if z.shape[1] == 1 else key @ np.cumprod(
+        np.full(z.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64)), kind="stable")
+    key, pos, run = key[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
+    run[1:] = (key[1:] != key[:-1]).any(axis=1)         # True where a run starts
     donors = donors[kept[pos - np.maximum.accumulate(pos * run) < n_matches]]
     zd = z[donors]
-    if z.shape[1] == 1:
-        blocks = _window_candidates(zq[:, 0], zd[:, 0], inv[0, 0], n_matches)
-    else:
-        blocks = _filter_candidates(zq, zd, w, n_matches)
     picked = np.empty((queries.size, n_matches), dtype=np.int64)
     d2_picked = np.empty((queries.size, n_matches))
-    for lo, hi, row, col in blocks:
-        d2 = _squared_distances((zq[lo + row] - zd[col]).T.copy(), inv)
+    if z.shape[1] == 1:     # fills the rows its window settles
+        blocks = _window_candidates(zq[:, 0], zd[:, 0], inv[0, 0], donors, picked, d2_picked)
+    else:
+        blocks = _filter_candidates(zq, zd, w, n_matches)
+    for at, row, col in blocks:
+        d2 = _squared_distances((zq[at][row] - zd[col]).T.copy(), inv)
         col = donors[col]                   # ties break by sample index
         # lexsort groups pairs by row, so row j's run starts at sum(counts[:j])
         order = np.lexsort((col, d2, row))
-        counts = np.bincount(row, minlength=hi - lo)
+        counts = np.bincount(row)         # every row has m or more
         first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n_matches)]
-        picked[lo:hi] = col[first]
-        d2_picked[lo:hi] = d2[first]
+        picked[at] = col[first]
+        d2_picked[at] = d2[first]
     if not np.isfinite(d2_picked).all():
         raise InvalidArgument("a squared match distance overflows; rescale the scores")
     return MatchedSet(
@@ -324,28 +327,30 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
 
 
 def _filter_candidates(zq, zd, w, n_matches):
-    """Yield (lo, hi, row, col) blocks: rows lo + row of zq paired with the
-    donors zd[col], holding every pair that a whitened bound cannot rule out
+    """Yield (at, row, col) blocks: rows zq[at][row] paired with the donors
+    zd[col], holding every pair that a whitened bound cannot rule out
     of a query's canonical first n_matches."""
     # Filter bound. Let inv be the computed W W' that the canonical value D
     # reads, c the donor mean, e = z - c, w = e W, diff = z_a - z_b, S = |e_a|^2
     # + |e_b|^2 (so |diff|^2 <= 2S), L = |W|_F^2 (at least the norm of |W||W|',
     # so of |inv|) and u = 2^-53. approx = |w_a|^2 + |w_b|^2 - 2 w_a.w_b differs
     # from D by the rounding of D, a sum of k^2 products ((k^2+2) u L 2S), of
-    # inv, e and e W (O(k u L S)) and of the expansion (O(k u (|w_a|^2 + |w_b|^2))).
-    # tau = tau_a + tau_b with tau_x = C (k+1) (|w_x|^2 + L |e_x|^2) and
-    # C = 1e-12 covers these up to k of about 4,000, and approx +- tau bound
-    # max(D, 0). lower, the product of [-2 w_a, 1] and [w_b, |w_b|^2 - tol_b]
-    # rounded to float32 (v = 2^-24) or float64 (v = u) and summed in any order,
-    # with or without FMA, is within (k+3) v (|w_a|^2 + 2 |w_b|^2 + tol_b) of
-    # approx - |w_a|^2 - tol_b. In float32, tol_x is tau_x with C' = 1e-5 (about
-    # 170 v) for C on |w_x|^2, which covers that for k below 1,000; in float64,
-    # tol = tau and C's slack covers it. Over a row's m donors of smallest
-    # lower, D <= lower + 2 tol_b + |w_a|^2 + tol_a, so with cut = max(lower +
-    # 2 tol_b) + 2 tol_a, rounded upward, T, the m-th smallest max(D, 0), is at
-    # most cut + |w_a|^2 - tol_a. A donor of the canonical first m, ties
-    # included, has approx - tau <= T, so lower <= cut: it is kept, and the
-    # re-rank sees the exact order.
+    # inv, e and e W ((4k+10) u L S) and of w (2k u (|w_a|^2 + |w_b|^2)), each
+    # to a factor 1 + 1e-8. tau = tau_a + tau_b, tau_x = C (k+1) (|w_x|^2 +
+    # L |e_x|^2), C = 1e-12, covers these and the float64 product's rounding
+    # below while 2k^2 + 4k + 14 <= (1 - 1e-6) (C / u) (k+1) (the |w|^2 terms
+    # need far less): up to k = 4,502, the most find_matches takes. approx +-
+    # tau bound max(D, 0). lower, the product of [-2 w_a, 1] and [w_b, |w_b|^2
+    # - tol_b] rounded to float32 (v = 2^-24) or float64 (v = u) and summed in
+    # any order, with or without FMA, is within (k+3) v (|w_a|^2 + 2 |w_b|^2 +
+    # tol_b) of approx - |w_a|^2 - tol_b. In float32, tol_x is tau_x with
+    # C' = 1e-5 (about 170 v) for C on |w_x|^2, which covers that for k below
+    # 1,000; in float64, tol = tau and C's slack covers it. Over a row's m
+    # donors of smallest lower, D <= lower + 2 tol_b + |w_a|^2 + tol_a, so with
+    # cut = max(lower + 2 tol_b) + 2 tol_a, rounded upward, T, the m-th smallest
+    # max(D, 0), is at most cut + |w_a|^2 - tol_a. A donor of the canonical
+    # first m, ties included, has approx - tau <= T, so lower <= cut: it is
+    # kept, and the re-rank sees the exact order.
     # Range. Every value the filter forms, and every term and partial sum of
     # D, is at most about 4 k^2 L max|e|^2: float32 holds them when (k+1)^2 L
     # max|e|^2 < 2^100. Else W is divided by a power of two to max|W| <= 1 and
@@ -399,34 +404,43 @@ def _filter_candidates(zq, zd, w, n_matches):
         rows += [np.repeat(r + (lo - start), n_matches), more[row] + (lo - start)]
         cols += [np.ravel(first, order="F"), col]
         if hi == zq.shape[0] or sum(map(len, cols)) * k >= _BLOCK_BYTES // 8:
-            yield start, hi, np.concatenate(rows), np.concatenate(cols)
+            yield slice(start, hi), np.concatenate(rows), np.concatenate(cols)
             rows, cols, start = [], [], hi
 
 
-def _window_candidates(xq, xs, c, n_matches):
-    """Yield (lo, hi, row, col) blocks like _filter_candidates for one score
-    column: xq are the query scores, xs the donor scores, sorted and
-    collapsed (see find_matches), and c the 1 x 1 inverse covariance's entry."""
-    # The canonical d2 of a pair is fl(fl(|diff| c) |diff|), diff = fl(x_a - x_b).
-    # T, a query's m-th smallest d2 among the m donors either side of its
-    # sorted position, is at least its m-th smallest over all donors. With
-    # u = 2^-53 and e = 2^-1075, fl(y) >= y (1 - u) - e for y >= 0, and a
-    # difference whose result is subnormal is exact, so d2 <= T forces
-    # |x_a - x_b| <= (e / c + sqrt(T + e) / sqrt(c)) / (1 - u)^2. r exceeds
-    # that bound (sqrt((T + e) / c) would underflow to 0 at T = 0 once c >~ 1),
-    # and nextafter widens the interval by one more step each side. c = 0
-    # gives r = inf: every donor ties.
-    m, size = n_matches, xs.size            # size >= m
-    split = np.searchsorted(xs, xq, side="left")
-    cut = np.empty(xq.size)
+def _window_candidates(xq, xs, c, donors, picked, d2_picked):
+    """For one score column: xq are the query scores, xs the donor scores,
+    sorted and collapsed (see find_matches), donors their sample indices and c
+    the 1 x 1 inverse covariance's entry. Fills the rows of picked and d2_picked
+    that the window settles; yields (at, row, col) blocks for the others."""
+    # The canonical d2 of a pair is fl(fl(|diff| c) |diff|), diff = fl(x_a - x_b):
+    # the bits of the window's diff * c * diff. Rounding is monotone, so d2 does
+    # not decrease away from a query's sorted position on either side, and T,
+    # the m-th smallest (d2, donor index) among the m donors either side, is
+    # final when the next donor out on each side is strictly farther. Else T is
+    # at least the m-th smallest d2 over all donors. With u = 2^-53, e = 2^-1075,
+    # fl(y) >= y (1 - u) - e for y >= 0, and a subnormal difference is exact, so
+    # d2 <= T forces |x_a - x_b| <= (e / c + sqrt(T + e) / sqrt(c)) / (1 - u)^2.
+    # r exceeds that bound (sqrt((T + e) / c) would underflow to 0 at T = 0 once
+    # c >~ 1), and nextafter widens the interval by one more step each side.
+    # c = 0 gives r = inf: every donor ties.
+    m, size = picked.shape[1], xs.size      # size >= m
+    xp = np.concatenate((np.full(m + 1, -np.inf), xs, np.full(m + 1, np.inf)))
+    split, settled = np.searchsorted(xp, xq, side="left"), np.empty(xq.size, dtype=bool)
     entries = max(_BLOCK_BYTES // 8, size)  # float64 window and candidate blocks
-    step = max(1, entries // (2 * m))
-    for lo in range(0, xq.size, step):
-        pos = split[lo:lo + step, None] + np.arange(-m, m)
-        diff = xq[lo:lo + step, None] - np.take(xs, pos, mode="clip")
-        window = np.where((pos >= 0) & (pos < size), diff * c * diff, np.inf)
-        cut[lo:lo + step] = np.partition(window, m - 1, axis=1)[:, m - 1]
-    tiny = 2.0 ** -1074
+    step = max(1, entries // (2 * m + 2))
+    for lo in range(0, xq.size, step):      # donors at sorted positions pos - m - 1
+        pos = split[lo:lo + step, None] + np.arange(-m - 1, m + 1)
+        diff = xq[lo:lo + step, None] - xp[pos]     # off the ends d2 is inf (nan at c = 0)
+        d2, index = diff * c * diff, np.take(donors, pos[:, 1:-1] - m - 1, mode="clip")
+        rows, first = np.arange(pos.shape[0])[:, None], np.lexsort((index, d2[:, 1:-1]))[:, :m]
+        picked[lo:lo + step] = index[rows, first]
+        d2_picked[lo:lo + step] = cut = d2[:, 1:-1][rows, first]
+        settled[lo:lo + step] = (d2[:, 0] > cut[:, -1]) & (d2[:, -1] > cut[:, -1])
+    rest = np.flatnonzero(~settled)
+    if rest.size == 0:
+        return
+    xq, cut, tiny = xq[rest], d2_picked[rest, -1], 2.0 ** -1074
     with np.errstate(divide="ignore"):
         r = (tiny / c + np.sqrt(cut + tiny) / np.sqrt(c)) * (1.0 + 2.0 ** -48)
         start = np.searchsorted(xs, np.nextafter(xq - r, -np.inf), side="left")
@@ -438,11 +452,11 @@ def _window_candidates(xq, xs, c, n_matches):
     ends = np.cumsum(stop - start)
     shift = stop - ends
     lo = 0
-    while lo < xq.size:
+    while lo < rest.size:
         base = ends[lo - 1] if lo else 0
         hi = int(np.searchsorted(ends, base + entries, side="right"))
         row = np.repeat(np.arange(hi - lo), stop[lo:hi] - start[lo:hi])
-        yield lo, hi, row, np.arange(base, ends[hi - 1]) + shift[lo:hi][row]
+        yield rest[lo:hi], row, np.arange(base, ends[hi - 1]) + shift[lo:hi][row]
         lo = hi
 
 

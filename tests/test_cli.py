@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdrmatch import simulation
+from sdrmatch import cli, sdr, simulation
 from sdrmatch.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -505,6 +505,32 @@ class TestErrorFormat:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_estimate_m_below_one_exits_two_before_any_work(self, tmp_path, monkeypatch, m,
+                                                            capsys):
+        # --m is rejected before the CSV is read or any score is fitted
+        calls = []
+
+        def counting(name, original):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(cli, "load_csv", counting("load_csv", cli.load_csv))
+        monkeypatch.setattr(sdr, "estimate_central_subspace",
+                            counting("sir", sdr.estimate_central_subspace))
+        out_file = tmp_path / "out.csv"
+        code = main(["estimate", "--input", str(LALONDE), "--treatment", "treat",
+                     "--outcome", "re78", "--covariates", LALONDE_COVARIATES,
+                     "--method", "sdr", "--m", m, "--output", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: n_matches must be >= 1, got {m}\n"
+        assert calls == []
         assert not out_file.exists()
 
     @pytest.mark.parametrize("body, reason", [

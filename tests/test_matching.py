@@ -452,6 +452,92 @@ class TestExactness:
                 for direction in (FOR_TREATED, FOR_CONTROL):
                     self.check(z, t, m, direction, metric)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_window_next_donor_out_ties_t(self, monkeypatch, m):
+        # ulp-spaced donors above 1 seen from +-2^55 (spacing 4 inside, 8
+        # outside): every difference rounds to +-2^55, so every donor ties and
+        # the next donor out of the window, on either side, ties T. The
+        # smallest indices sit mid-range, outside every window, so each row
+        # falls back to the value interval, whose re-rank picks by index
+        seen = self.count_reranked_pairs(monkeypatch)
+        donors = 1.0 + np.array([5, 6, 4, 7, 3, 8, 2, 9, 1, 10, 0, 11]) * 2.0 ** -52
+        z = np.r_[donors, -(2.0 ** 55), 2.0 ** 55, 2.0 ** 55 + 8.0][:, None]
+        t = np.r_[np.zeros(12, dtype=int), 1, 1, 1]
+        self.check(z, t, m, FOR_TREATED, MahalanobisMetric(np.eye(1)))
+        assert sum(seen) == 3 * 12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_window_symmetric_donors_tie_by_index(self, monkeypatch, m):
+        # donors at +-j/4 around a query at 0 tie in pairs, and the smaller
+        # index of each pair sits on alternate sides, so the far side of the
+        # sorted window holds it as often as the near one. The next pair out
+        # is strictly farther, so the window settles every row
+        seen = self.count_reranked_pairs(monkeypatch)
+        j = np.arange(1, 6) / 4.0
+        pairs = np.where(np.arange(5) % 2 == 0, 1.0, -1.0)[:, None] * np.c_[j, -j]
+        z = np.r_[pairs.ravel(), 0.0][:, None]
+        t = np.r_[np.zeros(10, dtype=int), 1]
+        self.check(z, t, m, FOR_TREATED, MahalanobisMetric(np.eye(1)))
+        assert seen == []
+
+    @pytest.mark.parametrize("w, settled", [(1.0, True), (0.0, False)])
+    def test_window_constant_score(self, monkeypatch, w, settled):
+        # every difference is 0, so every donor ties at c 0 = 0 and the
+        # collapse keeps m of them. Past the donors the window reads inf
+        # (c > 0) and settles; at c = 0 it reads nan there and falls back
+        seen = self.count_reranked_pairs(monkeypatch)
+        rng = RngStream(91)
+        z = np.full((30, 1), 2.5)
+        t = (rng.uniform(30) < 0.5).astype(int)
+        for m in range(1, 6):
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                self.check(z, t, m, direction, MahalanobisMetric(np.array([[w]])))
+        assert (seen == []) == settled
+
+    def test_window_duplicate_runs_straddle_its_edge(self, monkeypatch):
+        # m = 3: runs of identical donors, kept to their first 3 by index,
+        # that the window's edge cuts where a query's third pick lies (0.4
+        # and 1.0). Left of a query the window holds a run's largest indices,
+        # so a row whose next donor out ties T must fall back
+        seen = self.count_reranked_pairs(monkeypatch)
+        values = np.r_[0.3, [-1.0] * 6, 1.4, [2.0] * 6, [5.0] * 4]
+        order = np.argsort(RngStream(92).uniform(values.size))
+        queries = [0.4, 1.0, 0.5, -1.0, 2.0, 3.0, -4.0, 7.0]
+        z = np.r_[values[order], queries][:, None]
+        t = np.r_[np.zeros(values.size, dtype=int), np.ones(len(queries), dtype=int)]
+        for direction in (FOR_TREATED, FOR_CONTROL):
+            self.check(z, t, 3, direction, MahalanobisMetric(np.eye(1)))
+        assert seen
+
+    def test_one_column_huge_scores_overflow(self):
+        # one-column scores of 1e150 to 1e155: a squared difference can
+        # overflow. A query whose m-th pick overflows has T = inf, falls back
+        # and makes the call raise; without those queries the rest match
+        rng = RngStream(93)
+        checked = raised = 0
+        for rep in range(40):
+            m = 1 + rep % 3
+            sign = np.where(rng.uniform((30, 1)) < 0.5, -1.0, 1.0)
+            z = sign * 10.0 ** (150.0 + 5.0 * rng.uniform((30, 1)))
+            t = (rng.uniform(30) < 0.5).astype(int)
+            metric = MahalanobisMetric(np.array([[1.0 + 9.0 * rng.uniform()]]))
+            inv = metric.inverse_covariance
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                with np.errstate(over="ignore"):    # the loop reference overflows
+                    queries, expected = brute_force_matches(z, t, inv, m, direction)
+                    distances = brute_force_distances(z, queries, expected, inv)
+                overflow = [q for q, row in zip(queries, distances)
+                            if not np.isfinite(row).all()]
+                if overflow:
+                    with pytest.raises(InvalidArgument, match="overflows"):
+                        find_matches(z, t, metric, m, direction)
+                    raised += 1
+                keep = np.setdiff1d(np.arange(30), overflow)
+                if len(overflow) < len(queries):
+                    self.check(z[keep], t[keep], m, direction, metric)
+                    checked += len(queries) - len(overflow)
+        assert raised >= 20 and checked >= 200
+
     def test_one_query_per_block(self, monkeypatch):
         # with a budget below d, each block holds as few queries as fit in d
         # candidate pairs, so block edges fall everywhere
@@ -463,6 +549,11 @@ class TestExactness:
                 t = (rng.uniform(40) < 0.5).astype(int)
                 for direction in (FOR_TREATED, FOR_CONTROL):
                     self.check(z, t, m, direction)
+        for m in range(1, 6):       # tie-free: the window settles rows a few at a time
+            z = rng.normal((40, 1))
+            t = (rng.uniform(40) < 0.5).astype(int)
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                self.check(z, t, m, direction)
 
     def test_many_matches_one_query_per_block(self, monkeypatch):
         # m = 6-10 on tied integer rows, one query per block
@@ -535,28 +626,44 @@ class TestExactness:
                     self.check(z, t, m, direction, MahalanobisMetric(np.eye(k)))
         assert set(seen) == {np.dtype(np.float32)}
 
+    @staticmethod
+    def check_identity_metric(z, t, m, direction):
+        """find_matches with W = I against a vectorised reference: the
+        canonical d2 adds the squared differences in column order (the
+        off-diagonal terms are zeros), so an accumulate over columns and a
+        stable sort by d2 give the picks and distances."""
+        label = int(direction == FOR_TREATED)
+        mine = find_matches(z, t, MahalanobisMetric(np.eye(z.shape[1])), m, direction)
+        queries, donors = np.flatnonzero(t == label), np.flatnonzero(t != label)
+        diff = z[queries, None, :] - z[None, donors, :]
+        d2 = np.add.accumulate(diff * diff, axis=2)[:, :, -1]
+        first = np.argsort(d2, axis=1, kind="stable")[:, :m]
+        assert mine.query_indices.tolist() == queries.tolist()
+        assert mine.donor_indices.tolist() == donors[first].tolist()
+        assert mine.distances.tolist() == np.sqrt(np.take_along_axis(d2, first, axis=1)).tolist()
+
     @pytest.mark.parametrize("k, expected", [(999, np.float32), (1000, np.float64)])
     def test_float32_only_below_a_thousand_columns(self, monkeypatch, k, expected):
-        # the float32 tolerance is proven for k below 1,000. With W = I the
-        # canonical d2 adds the squared differences in column order (the
-        # off-diagonal terms are zeros), so an accumulate over columns and a
-        # stable sort by d2 are the reference
+        # the float32 tolerance is proven for k below 1,000
         seen = self.product_dtypes(monkeypatch)
         rng = RngStream(87)
         z = rng.normal((24, k))
         t = np.arange(24) % 2
         for m in (1, 3):
-            for direction, label in ((FOR_TREATED, 1), (FOR_CONTROL, 0)):
-                mine = find_matches(z, t, MahalanobisMetric(np.eye(k)), m, direction)
-                queries, donors = np.flatnonzero(t == label), np.flatnonzero(t != label)
-                diff = z[queries, None, :] - z[None, donors, :]
-                d2 = np.add.accumulate(diff * diff, axis=2)[:, :, -1]
-                first = np.argsort(d2, axis=1, kind="stable")[:, :m]
-                assert mine.query_indices.tolist() == queries.tolist()
-                assert mine.donor_indices.tolist() == donors[first].tolist()
-                assert mine.distances.tolist() == np.sqrt(
-                    np.take_along_axis(d2, first, axis=1)).tolist()
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                self.check_identity_metric(z, t, m, direction)
         assert set(seen) == {np.dtype(expected)}
+
+    def test_score_columns_up_to_the_filter_bound(self):
+        # the float64 allowance is proven up to k = 4,502: one more column
+        # raises before W W' is formed, and k = 4,502 still matches exactly
+        rng = RngStream(96)
+        z = rng.normal((8, 4503))
+        t = np.arange(8) % 2
+        with pytest.raises(InvalidArgument,
+                           match=r"^at most 4502 score columns can be matched, got 4503$"):
+            find_matches(z, t, MahalanobisMetric(np.eye(4503)), 1, FOR_TREATED)
+        self.check_identity_metric(z[:, :4502], t, 3, FOR_TREATED)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.lists(st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 1.0, 3.0]),
@@ -856,6 +963,28 @@ class TestExactness:
             matched = find_matches(z, t, metric, m, direction)
             assert sum(seen) <= 1.01 * matched.query_indices.size * m
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_column_tie_free_scores_skip_the_re_rank(self, monkeypatch, m):
+        # on tie-free normal scores the next donor out on each side of every
+        # window is strictly farther than the query's m-th pick, so no pair
+        # reaches the canonical re-rank. With W = 1 the canonical d2 is
+        # (diff * c) * diff, and a stable sort by it is the reference
+        seen = self.count_reranked_pairs(monkeypatch)
+        rng = RngStream(94)
+        n = 5_000
+        z = rng.normal((n, 1))
+        t = (rng.uniform(n) < 0.5).astype(int)
+        for direction, label in ((FOR_TREATED, 1), (FOR_CONTROL, 0)):
+            matched = find_matches(z, t, MahalanobisMetric(np.eye(1)), m, direction)
+            queries, donors = np.flatnonzero(t == label), np.flatnonzero(t != label)
+            diff = z[queries] - z[donors, 0]
+            d2 = diff * 1.0 * diff
+            first = np.argsort(d2, axis=1, kind="stable")[:, :m]
+            assert matched.donor_indices.tolist() == donors[first].tolist()
+            assert matched.distances.tolist() == np.sqrt(
+                np.take_along_axis(d2, first, axis=1)).tolist()
+        assert seen == []
+
     @pytest.mark.parametrize("m, most", [(1, (185, 429)), (3, (557, 1293))])
     def test_one_column_keeps_few_pairs_on_shipped_csv(self, monkeypatch, m, most):
         # the ps-logistic ACE on the shipped CSV, whose scores tie often;
@@ -878,6 +1007,15 @@ class TestExactness:
         z = np.ones((n, 1)) if equal else rng.normal((n, 1))
         t = (rng.uniform(n) < 0.5).astype(int)
         assert self.traced_peak(z, t, 5) < 32 * 2**20
+
+    def test_memory_stays_bounded_one_column_many_matches(self):
+        # m = 2,000: each window block holds 4,002 donors per query, so the
+        # 2 MiB budget leaves a few dozen queries per block
+        rng = RngStream(95)
+        n = 20_000
+        z = rng.normal((n, 1))
+        t = (rng.uniform(n) < 0.01).astype(int)
+        assert self.traced_peak(z, t, 2_000) < 32 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, bad):
