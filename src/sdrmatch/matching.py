@@ -212,8 +212,9 @@ def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return np.maximum(total[0, :size], 0.0)
 
 
-# Candidate blocks hold at most max(this / itemsize, d) (query, donor)
-# entries: 2^18 per float64 array, 2^19 per float32 one.
+# Filter blocks hold at most max(this / itemsize, d) (query, donor) entries,
+# 2^18 per float64 array and 2^19 per float32 one; window blocks of width w
+# hold at most max(2^18, 2w + 2).
 _BLOCK_BYTES = 1 << 21
 # Floating-point error allowed per score dimension, about 4500 unit roundoffs.
 _ROUNDING = 1e-12
@@ -230,30 +231,31 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     Donors are ranked by the squared distance that _squared_distances
     defines, ties going to the smaller donor index. Identical donor rows tie
     for every query, so only the first m of each are kept. With q queries
-    and d donors, the search follows the number k of score columns; where it
-    cannot settle a query's first m, it hands (query, donor) pairs that hold
-    them to a canonical re-rank:
+    and d donors, the search follows the number k of score columns:
 
     - k >= 2: per block, a whitened product (float32 for k < 1,000 unless its
       floor is too coarse) bounds each distance below, m argmin passes over
       the m lowest set each query's cut, and a min pass finds the few queries
-      with more under it; all are re-ranked. Time is O(d log d + q d (k + m)).
+      with more under it; these pairs go to a canonical re-rank. Time is
+      O(d log d + q d (k + m)).
     - k = 1: the donors are sorted by score. d2 does not decrease away from a
-      query's sorted position, so its first m by (d2, donor index) among the m
-      donors either side are final when the next donor out on each side is
-      strictly farther. Other queries re-rank the value interval that the
-      m-th bounds, read off by two bisections. Time is
-      O(d log d + q (m log m + log d)) when distinct scores rarely tie in distance.
+      query's sorted position, so its first m by (d2, donor index) among the w
+      donors either side (w = m at first) are final when the next donor out on
+      each side is strictly farther, or once w = d. Other queries are read
+      again with w doubled, up to d. Time is O(d log d + q (m log m + log d))
+      when distinct scores rarely tie in distance.
 
-    Blocks of at most max(2^18, d) pairs, 2^19 for a float32 product (2 MiB
-    either way), share a buffer made once per call, and are re-ranked together
-    while their pairs' k columns fit 2 MiB: memory is O((max(2^19, d) + q + d) k) floats.
+    Filter blocks of at most max(2^18, d) pairs, 2^19 for a float32 product
+    (2 MiB either way), share a buffer made once per call, and are re-ranked
+    together while their pairs' k columns fit 2 MiB; a window block holds at
+    most max(2^18, 2w + 2) entries. Memory is O((max(2^19, d) + q + d) k) floats.
 
     Raises:
         InvalidArgument: scores not n x k, unknown direction, n_matches < 1,
-            scores and treatment of different lengths, a whitening map that is
-            not k x k, k > 4,502, no subjects to match, NaN/inf in the scores
-            or the metric, or a picked squared distance that overflows.
+            scores and treatment of different lengths, a treatment entry
+            other than 0 or 1, a whitening map that is not k x k, k > 4,502,
+            no subjects to match, NaN/inf in the scores or the metric, or a
+            picked squared distance that overflows.
         InsufficientDonors: donor group smaller than n_matches.
     """
     z = _score_matrix(scores)
@@ -282,6 +284,8 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
 
     queries = np.flatnonzero(t == query_label)
     donors = np.flatnonzero(t == 1 - query_label)
+    if queries.size + donors.size != t.size:
+        raise InvalidArgument("treatment entries must be 0 or 1")
     if queries.size == 0:
         raise InvalidArgument(f"no subjects to match {direction}")
     if donors.size < n_matches:
@@ -301,21 +305,21 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     run[1:] = (key[1:] != key[:-1]).any(axis=1)         # True where a run starts
     donors = donors[kept[pos - np.maximum.accumulate(pos * run) < n_matches]]
     zd = z[donors]
-    picked = np.empty((queries.size, n_matches), dtype=np.int64)
-    d2_picked = np.empty((queries.size, n_matches))
-    if z.shape[1] == 1:     # fills the rows its window settles
-        blocks = _window_candidates(zq[:, 0], zd[:, 0], inv[0, 0], donors, picked, d2_picked)
+    if z.shape[1] == 1:
+        picked, d2_picked = _window_pick(zq[:, 0], zd[:, 0], inv[0, 0], donors, n_matches,
+                                         n_matches)
     else:
-        blocks = _filter_candidates(zq, zd, w, n_matches)
-    for at, row, col in blocks:
-        d2 = _squared_distances((zq[at][row] - zd[col]).T.copy(), inv)
-        col = donors[col]                   # ties break by sample index
-        # lexsort groups pairs by row, so row j's run starts at sum(counts[:j])
-        order = np.lexsort((col, d2, row))
-        counts = np.bincount(row)         # every row has m or more
-        first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n_matches)]
-        picked[at] = col[first]
-        d2_picked[at] = d2[first]
+        picked = np.empty((queries.size, n_matches), dtype=np.int64)
+        d2_picked = np.empty((queries.size, n_matches))
+        for at, row, col in _filter_candidates(zq, zd, w, n_matches):
+            d2 = _squared_distances((zq[at][row] - zd[col]).T.copy(), inv)
+            col = donors[col]                   # ties break by sample index
+            # lexsort groups pairs by row, so row j's run starts at sum(counts[:j])
+            order = np.lexsort((col, d2, row))
+            counts = np.bincount(row)         # every row has m or more
+            first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(n_matches)]
+            picked[at] = col[first]
+            d2_picked[at] = d2[first]
     if not np.isfinite(d2_picked).all():
         raise InvalidArgument("a squared match distance overflows; rescale the scores")
     return MatchedSet(
@@ -408,56 +412,35 @@ def _filter_candidates(zq, zd, w, n_matches):
             rows, cols, start = [], [], hi
 
 
-def _window_candidates(xq, xs, c, donors, picked, d2_picked):
+def _window_pick(xq, xs, c, donors, m, width):
     """For one score column: xq are the query scores, xs the donor scores,
     sorted and collapsed (see find_matches), donors their sample indices and c
-    the 1 x 1 inverse covariance's entry. Fills the rows of picked and d2_picked
-    that the window settles; yields (at, row, col) blocks for the others."""
+    the 1 x 1 inverse covariance's entry. Returns each query's first m donors
+    and their d2, read from the width donors either side of its sorted position."""
     # The canonical d2 of a pair is fl(fl(|diff| c) |diff|), diff = fl(x_a - x_b):
     # the bits of the window's diff * c * diff. Rounding is monotone, so d2 does
     # not decrease away from a query's sorted position on either side, and T,
-    # the m-th smallest (d2, donor index) among the m donors either side, is
-    # final when the next donor out on each side is strictly farther. Else T is
-    # at least the m-th smallest d2 over all donors. With u = 2^-53, e = 2^-1075,
-    # fl(y) >= y (1 - u) - e for y >= 0, and a subnormal difference is exact, so
-    # d2 <= T forces |x_a - x_b| <= (e / c + sqrt(T + e) / sqrt(c)) / (1 - u)^2.
-    # r exceeds that bound (sqrt((T + e) / c) would underflow to 0 at T = 0 once
-    # c >~ 1), and nextafter widens the interval by one more step each side.
-    # c = 0 gives r = inf: every donor ties.
-    m, size = picked.shape[1], xs.size      # size >= m
-    xp = np.concatenate((np.full(m + 1, -np.inf), xs, np.full(m + 1, np.inf)))
+    # the m-th smallest (d2, donor index) in the window, is final when the next
+    # donor out on each side is strictly farther, or when the window holds every
+    # donor (width = size). Other rows are read again from a window twice as wide.
+    size = xs.size      # >= m
+    xp = np.concatenate((np.full(width + 1, -np.inf), xs, np.full(width + 1, np.inf)))
     split, settled = np.searchsorted(xp, xq, side="left"), np.empty(xq.size, dtype=bool)
-    entries = max(_BLOCK_BYTES // 8, size)  # float64 window and candidate blocks
-    step = max(1, entries // (2 * m + 2))
-    for lo in range(0, xq.size, step):      # donors at sorted positions pos - m - 1
-        pos = split[lo:lo + step, None] + np.arange(-m - 1, m + 1)
+    picked, d2_picked = np.empty((xq.size, m), dtype=np.int64), np.empty((xq.size, m))
+    step = max(1, max(_BLOCK_BYTES // 8, size) // (2 * width + 2))    # float64 blocks
+    for lo in range(0, xq.size, step):      # donors at sorted positions pos - width - 1
+        pos = split[lo:lo + step, None] + np.arange(-width - 1, width + 1)
         diff = xq[lo:lo + step, None] - xp[pos]     # off the ends d2 is inf (nan at c = 0)
-        d2, index = diff * c * diff, np.take(donors, pos[:, 1:-1] - m - 1, mode="clip")
+        d2, index = diff * c * diff, np.take(donors, pos[:, 1:-1] - width - 1, mode="clip")
         rows, first = np.arange(pos.shape[0])[:, None], np.lexsort((index, d2[:, 1:-1]))[:, :m]
         picked[lo:lo + step] = index[rows, first]
         d2_picked[lo:lo + step] = cut = d2[:, 1:-1][rows, first]
         settled[lo:lo + step] = (d2[:, 0] > cut[:, -1]) & (d2[:, -1] > cut[:, -1])
     rest = np.flatnonzero(~settled)
-    if rest.size == 0:
-        return
-    xq, cut, tiny = xq[rest], d2_picked[rest, -1], 2.0 ** -1074
-    with np.errstate(divide="ignore"):
-        r = (tiny / c + np.sqrt(cut + tiny) / np.sqrt(c)) * (1.0 + 2.0 ** -48)
-        start = np.searchsorted(xs, np.nextafter(xq - r, -np.inf), side="left")
-        stop = np.searchsorted(xs, np.nextafter(xq + r, np.inf), side="right")
-
-    # Blocks of whole queries with at most max(2^18, d) candidates each; one
-    # query has at most d. Candidate f of the flat list sits at sorted
-    # position f + shift of its query.
-    ends = np.cumsum(stop - start)
-    shift = stop - ends
-    lo = 0
-    while lo < rest.size:
-        base = ends[lo - 1] if lo else 0
-        hi = int(np.searchsorted(ends, base + entries, side="right"))
-        row = np.repeat(np.arange(hi - lo), stop[lo:hi] - start[lo:hi])
-        yield rest[lo:hi], row, np.arange(base, ends[hi - 1]) + shift[lo:hi][row]
-        lo = hi
+    if rest.size and width < size:
+        picked[rest], d2_picked[rest] = _window_pick(xq[rest], xs, c, donors, m,
+                                                     min(2 * width, size))
+    return picked, d2_picked
 
 
 def impute(sample: ObservationalSample, matched: MatchedSet) -> np.ndarray:

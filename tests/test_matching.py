@@ -195,6 +195,31 @@ class TestFindMatches:
             with pytest.raises(InvalidArgument, match=r"got shape \(40,\)"):
                 estimate(sample, make_score())
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_treatment_other_than_zero_or_one_raises(self, bad):
+        # a subject in neither group would otherwise be left out of both
+        t = np.array([0, 1, bad, 0, 1, 0])
+        for k in (1, 2):
+            z = np.arange(6.0 * k).reshape(6, k)
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                with pytest.raises(InvalidArgument,
+                                   match=r"^treatment entries must be 0 or 1$"):
+                    find_matches(z, t, MahalanobisMetric(np.eye(k)), 1, direction)
+        with pytest.raises(InvalidArgument, match=r"^treatment entries must be 0 or 1$"):
+            find_matches(np.arange(6.0)[:, None], np.array([0, 1, 2, 0, 1, 7]),
+                         MahalanobisMetric(np.eye(1)), 1, FOR_TREATED)
+
+    def test_bool_treatment(self):
+        z = np.array([[0.0], [1.0], [0.4], [2.0], [1.7], [-0.3]])
+        t = np.array([1, 0, 0, 1, 0, 1])
+        metric = MahalanobisMetric(np.eye(1))
+        for direction in (FOR_TREATED, FOR_CONTROL):
+            expected = find_matches(z, t, metric, 2, direction)
+            got = find_matches(z, t.astype(bool), metric, 2, direction)
+            assert got.query_indices.tolist() == expected.query_indices.tolist()
+            assert got.donor_indices.tolist() == expected.donor_indices.tolist()
+            assert got.distances.tolist() == expected.distances.tolist()
+
     def test_whitening_map_must_be_k_by_k(self):
         z = np.array([[0.0, 1.0], [1.0, 0.0], [0.4, 0.2], [2.0, 1.0]])
         t = np.array([1, 0, 0, 0])
@@ -419,8 +444,10 @@ class TestExactness:
     @pytest.mark.parametrize("kind", ["integer", "midway", "all-equal", "long-runs", "far",
                                       "offset", "tiny", "large", "near-1e150", "near-1e-170",
                                       "subnormal-grid", "ulp-grid"])
-    def test_one_column(self, kind):
-        # one score column takes the sorted-window search, not the filter
+    def test_one_column(self, kind, monkeypatch):
+        # one score column takes the sorted-window search, not the filter,
+        # and never the canonical re-rank
+        seen = self.count_reranked_pairs(monkeypatch)
         rng = RngStream(68)
         checked = 0
         for m in range(1, 6):
@@ -433,12 +460,13 @@ class TestExactness:
                 for direction in (FOR_TREATED, FOR_CONTROL):
                     self.check(z, t, m, direction)
                 checked += 1
-        assert checked >= 25
+        assert checked >= 25 and seen == []
 
     @pytest.mark.parametrize("w", [1e-160, 1e150, 0.0])
-    def test_one_column_extreme_metric(self, w):
+    def test_one_column_extreme_metric(self, w, monkeypatch):
         # c = w^2 is subnormal, near the top of the range or 0: canonical d2
         # ties at 0 or a few subnormal steps, or every donor ties
+        seen = self.count_reranked_pairs(monkeypatch)
         rng = RngStream(78)
         metric = MahalanobisMetric(np.array([[w]]))
         for m in range(1, 6):
@@ -451,20 +479,23 @@ class TestExactness:
                     continue
                 for direction in (FOR_TREATED, FOR_CONTROL):
                     self.check(z, t, m, direction, metric)
+        assert seen == []
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_window_next_donor_out_ties_t(self, monkeypatch, m):
         # ulp-spaced donors above 1 seen from +-2^55 (spacing 4 inside, 8
         # outside): every difference rounds to +-2^55, so every donor ties and
         # the next donor out of the window, on either side, ties T. The
-        # smallest indices sit mid-range, outside every window, so each row
-        # falls back to the value interval, whose re-rank picks by index
+        # smallest indices sit mid-range, so each row is read again from
+        # wider windows until one holds all 12 donors and picks by index
         seen = self.count_reranked_pairs(monkeypatch)
+        widths = self.window_widths(monkeypatch)
         donors = 1.0 + np.array([5, 6, 4, 7, 3, 8, 2, 9, 1, 10, 0, 11]) * 2.0 ** -52
         z = np.r_[donors, -(2.0 ** 55), 2.0 ** 55, 2.0 ** 55 + 8.0][:, None]
         t = np.r_[np.zeros(12, dtype=int), 1, 1, 1]
         self.check(z, t, m, FOR_TREATED, MahalanobisMetric(np.eye(1)))
-        assert sum(seen) == 3 * 12
+        assert seen == []
+        assert widths[-1] == (12, 3)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_window_symmetric_donors_tie_by_index(self, monkeypatch, m):
@@ -480,26 +511,31 @@ class TestExactness:
         self.check(z, t, m, FOR_TREATED, MahalanobisMetric(np.eye(1)))
         assert seen == []
 
-    @pytest.mark.parametrize("w, settled", [(1.0, True), (0.0, False)])
-    def test_window_constant_score(self, monkeypatch, w, settled):
+    @pytest.mark.parametrize("w", [1.0, 0.0])
+    def test_window_constant_score(self, monkeypatch, w):
         # every difference is 0, so every donor ties at c 0 = 0 and the
         # collapse keeps m of them. Past the donors the window reads inf
-        # (c > 0) and settles; at c = 0 it reads nan there and falls back
+        # (c > 0) and settles; at c = 0 it reads nan there, but the first
+        # window already holds all m donors, so no row is read again
         seen = self.count_reranked_pairs(monkeypatch)
+        widths = self.window_widths(monkeypatch)
         rng = RngStream(91)
         z = np.full((30, 1), 2.5)
         t = (rng.uniform(30) < 0.5).astype(int)
         for m in range(1, 6):
             for direction in (FOR_TREATED, FOR_CONTROL):
+                widths.clear()
                 self.check(z, t, m, direction, MahalanobisMetric(np.array([[w]])))
-        assert (seen == []) == settled
+                assert [width for width, _ in widths] == [m]
+        assert seen == []
 
     def test_window_duplicate_runs_straddle_its_edge(self, monkeypatch):
         # m = 3: runs of identical donors, kept to their first 3 by index,
         # that the window's edge cuts where a query's third pick lies (0.4
         # and 1.0). Left of a query the window holds a run's largest indices,
-        # so a row whose next donor out ties T must fall back
+        # so a row whose next donor out ties T must be read again, wider
         seen = self.count_reranked_pairs(monkeypatch)
+        widths = self.window_widths(monkeypatch)
         values = np.r_[0.3, [-1.0] * 6, 1.4, [2.0] * 6, [5.0] * 4]
         order = np.argsort(RngStream(92).uniform(values.size))
         queries = [0.4, 1.0, 0.5, -1.0, 2.0, 3.0, -4.0, 7.0]
@@ -507,12 +543,72 @@ class TestExactness:
         t = np.r_[np.zeros(values.size, dtype=int), np.ones(len(queries), dtype=int)]
         for direction in (FOR_TREATED, FOR_CONTROL):
             self.check(z, t, 3, direction, MahalanobisMetric(np.eye(1)))
-        assert seen
+        assert seen == [] and max(width for width, _ in widths) > 3
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_window_widens_until_it_holds_every_donor(self, monkeypatch, m):
+        # every donor ties for the queries at either sorted end: ulp-spaced
+        # donors above 1 seen from -2^55 and 2^55 (W = 1), and donors within
+        # 0.5 of each other seen from just past either end, whose every d2
+        # rounds to 0 (W = 2^-537, so c is the smallest subnormal). The
+        # smallest indices sit anywhere, so those rows are read from windows
+        # of m, 2m, 4m, ... donors either side until one holds all 40: three
+        # or more widenings. A third query amid the donors ties them too
+        # under W = 2^-537, and is settled in the first window under W = 1
+        seen = self.count_reranked_pairs(monkeypatch)
+        widths = self.window_widths(monkeypatch)
+        order = np.argsort(RngStream(97).uniform(40)).astype(float)
+        for donors, ends, w, tied in ((1.0 + order * 2.0 ** -52, 2.0 ** 55, 1.0, 2),
+                                      (order / 80.0, 0.05, 2.0 ** -537, 3)):
+            z = np.r_[donors, donors.min() - ends, donors.max() + ends, donors[7]][:, None]
+            t = np.r_[np.zeros(40, dtype=int), 1, 1, 1]
+            widths.clear()
+            self.check(z, t, m, FOR_TREATED, MahalanobisMetric(np.array([[w]])))
+            assert len(widths) >= 4 and widths[-1] == (40, tied)
+        assert seen == []
+
+    @pytest.mark.parametrize("w", [1.0, 0.0, 2.0 ** -537])
+    def test_window_holds_every_donor_when_donors_equal_matches(self, monkeypatch, w):
+        # with exactly m donors the first window holds them all, so every row
+        # is final in one pass, whether or not its outer neighbours settle it
+        widths = self.window_widths(monkeypatch)
+        rng = RngStream(98)
+        for m in range(1, 6):
+            donors = 1.0 + np.floor(rng.uniform(m) * 3.0) * 2.0 ** -52
+            z = np.r_[donors, -(2.0 ** 55), 1.0, 0.5, 2.0 ** 55][:, None]
+            t = np.r_[np.zeros(m, dtype=int), 1, 1, 1, 1]
+            widths.clear()
+            self.check(z, t, m, FOR_TREATED, MahalanobisMetric(np.array([[w]])))
+            assert widths == [(m, 4)]
+
+    def test_window_widens_across_block_edges(self, monkeypatch):
+        # with a budget below d, each window pass holds a few queries per
+        # block, and one query per block once a window holds every donor: at
+        # c = 0 every row is read again until then, so the widened passes
+        # cross block edges
+        monkeypatch.setattr(matching, "_BLOCK_BYTES", 1)
+        widths = self.window_widths(monkeypatch)
+        rng, crossed = RngStream(99), 0
+        for w in (1.0, 0.0, 2.0 ** -537):
+            for kind in ("integer", "far", "ulp-grid", "long-runs", "subnormal-grid"):
+                for m in range(1, 6):
+                    z = self.draw_column(rng, kind, 60)[:, None]
+                    t = (rng.uniform(60) < 0.5).astype(int)
+                    if t.sum() < m or (1 - t).sum() < m:
+                        continue
+                    for direction in (FOR_TREATED, FOR_CONTROL):
+                        widths.clear()
+                        self.check(z, t, m, direction, MahalanobisMetric(np.array([[w]])))
+                        if w == 0.0 and widths[0][0] < widths[-1][0]:
+                            assert widths[-1][1] == widths[0][1] > 1
+                            crossed += 1
+        assert crossed >= 40
 
     def test_one_column_huge_scores_overflow(self):
         # one-column scores of 1e150 to 1e155: a squared difference can
-        # overflow. A query whose m-th pick overflows has T = inf, falls back
-        # and makes the call raise; without those queries the rest match
+        # overflow. A query whose m-th pick overflows has T = inf, is read
+        # again until its window holds every donor, and makes the call raise;
+        # without those queries the rest match
         rng = RngStream(93)
         checked = raised = 0
         for rep in range(40):
@@ -666,14 +762,16 @@ class TestExactness:
         self.check_identity_metric(z[:, :4502], t, 3, FOR_TREATED)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(st.lists(st.tuples(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 1.0, 3.0]),
-                              st.integers(0, 1)), min_size=2, max_size=40),
-           st.integers(1, 5))
-    def test_one_column_few_values_property(self, subjects, m):
-        z = np.array([[value] for value, _ in subjects])
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=2, max_size=40),
+           st.integers(1, 5), st.sampled_from([1.0, 0.0, 2.0 ** -537]), st.booleans())
+    def test_one_column_few_values_property(self, subjects, m, w, ulp_spaced):
+        # six values: a few spread ones, or neighbouring doubles above 1
+        values = (1.0 + np.arange(6) * 2.0 ** -52 if ulp_spaced
+                  else np.array([-1.5, 0.0, 0.25, 0.5, 1.0, 3.0]))
+        z = np.array([[values[value]] for value, _ in subjects])
         t = np.array([label for _, label in subjects])
         assume(min(t.sum(), (1 - t).sum()) >= m)
-        metric = MahalanobisMetric(np.eye(1))
+        metric = MahalanobisMetric(np.array([[w]]))
         for direction in (FOR_TREATED, FOR_CONTROL):
             self.check(z, t, m, direction, metric)
 
@@ -866,6 +964,18 @@ class TestExactness:
         monkeypatch.setattr(matching, "_squared_distances", counting)
         return seen
 
+    @staticmethod
+    def window_widths(monkeypatch):
+        """A list that receives (width, queries) for each one-column window pass."""
+        pick, seen = matching._window_pick, []
+
+        def recording(xq, xs, c, donors, m, width):
+            seen.append((width, xq.size))
+            return pick(xq, xs, c, donors, m, width)
+
+        monkeypatch.setattr(matching, "_window_pick", recording)
+        return seen
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_all_tied_rows_reach_the_re_rank_once(self, monkeypatch, m):
         # every donor ties with every other for every query: unless duplicate
@@ -949,19 +1059,21 @@ class TestExactness:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_column_re_ranks_about_m_pairs(self, monkeypatch, m):
-        # on tie-free scores a query's value interval holds its first m and
-        # at most a few neighbours a rounding error away; the 2m donors around
-        # it would double the count, and an unbounded interval would send all
+        # on tie-free scores, under the ridged metric, each query ranks the
+        # 2m donors around it and no pair reaches the canonical re-rank; no
+        # row is read again from a wider window
         seen = self.count_reranked_pairs(monkeypatch)
+        widths = self.window_widths(monkeypatch)
         rng = RngStream(80)
         n = 5_000
         z = rng.normal((n, 1))
         t = (rng.uniform(n) < 0.5).astype(int)
         metric = build_metric(z)
         for direction in (FOR_TREATED, FOR_CONTROL):
-            seen.clear()
+            widths.clear()
             matched = find_matches(z, t, metric, m, direction)
-            assert sum(seen) <= 1.01 * matched.query_indices.size * m
+            assert widths == [(m, matched.query_indices.size)]
+        assert seen == []
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_column_tie_free_scores_skip_the_re_rank(self, monkeypatch, m):
@@ -985,19 +1097,21 @@ class TestExactness:
                 np.take_along_axis(d2, first, axis=1)).tolist()
         assert seen == []
 
-    @pytest.mark.parametrize("m, most", [(1, (185, 429)), (3, (557, 1293))])
+    @pytest.mark.parametrize("m, most", [(1, (0, 0)), (3, (1, 1))])
     def test_one_column_keeps_few_pairs_on_shipped_csv(self, monkeypatch, m, most):
-        # the ps-logistic ACE on the shipped CSV, whose scores tie often;
-        # reading every donor in the 2m window re-ranked 357 + 792 pairs at
-        # m = 1 and 1,056 + 2,194 at m = 3
+        # the ps-logistic ACE on the shipped CSV, whose scores tie often: no
+        # pair reaches the canonical re-rank, and at most one row per
+        # direction (of 185 and 429) is read again from a wider window
         sample = self.shipped_sample()
         score = balancing_score("ps-logistic", sample, estimand="ace", n_slices=5, alpha=0.05)
         seen = self.count_reranked_pairs(monkeypatch)
+        widths = self.window_widths(monkeypatch)
         metric = build_metric(score.into_control)
         for direction, bound in zip((FOR_TREATED, FOR_CONTROL), most):
-            seen.clear()
+            widths.clear()
             find_matches(score.into_control, sample.treatment, metric, m, direction)
-            assert sum(seen) <= bound
+            assert sum(queries for _, queries in widths[1:]) <= bound
+        assert seen == []
 
     @pytest.mark.parametrize("equal", [False, True])
     def test_memory_stays_bounded_one_column(self, equal):
