@@ -549,8 +549,8 @@ class TestExactness:
     def test_window_widens_until_it_holds_every_donor(self, monkeypatch, m):
         # every donor ties for the queries at either sorted end: ulp-spaced
         # donors above 1 seen from -2^55 and 2^55 (W = 1), and donors within
-        # 0.5 of each other seen from just past either end, whose every d2
-        # rounds to 0 (W = 2^-537, so c is the smallest subnormal). The
+        # 0.5 of each other seen from just past either end, whose d2 rounds
+        # to 0 or 2^-1074 (W = 2^-537, so c is the smallest subnormal). The
         # smallest indices sit anywhere, so those rows are read from windows
         # of m, 2m, 4m, ... donors either side until one holds all 40: three
         # or more widenings. A third query amid the donors ties them too
