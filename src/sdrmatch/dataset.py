@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,15 +89,15 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
 def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> ObservationalSample:
     """Read an observational sample from a headered, comma-separated file.
 
-    The referenced columns are parsed in one vectorised pass. When that pass
-    fails, or yields a non-finite value or a treatment outside {0, 1}, the
-    same lines are parsed again row by row: that loop defines which input is
-    valid, names the bad cell, and also accepts what ``float`` reads but numpy
-    does not.
+    The data lines stream from the file, about 64 KiB at a time, into one
+    vectorised pass over the referenced columns. When that pass fails, or
+    yields a non-finite value or a treatment outside {0, 1}, the file is read
+    again and parsed row by row: that loop defines which input is valid, names
+    the bad cell, and also accepts what ``float`` reads but numpy does not.
 
     Args:
         path: CSV file with a header row; UTF-8 with or without a byte-order
-            mark, '.' decimal point.
+            mark, '.' decimal point. It must be seekable.
         treatment: name of the 0/1 treatment column.
         outcome: name of the observed-outcome column.
         covariates: names of the covariate columns, in the desired order.
@@ -111,28 +112,32 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
     names = [treatment, outcome, *covariates]
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            if handle.read(1) != "\ufeff":     # skip a byte-order mark, as utf-8-sig
-                handle.seek(0)                  # would, without loading that codec
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: file is empty, expected a header row") from None
+            header = _read_header(handle)
+            if header is None:
+                raise SchemaError(f"{path}: file is empty, expected a header row")
             header = [h.strip() for h in header]
             for name in names:
                 if name not in header:
                     raise SchemaError(f"missing column '{name}' in {path}")
             columns = [header.index(name) for name in names]
-            lines = handle.readlines()
-        data = None
-        if any(map(str.strip, lines)):      # else loadtxt warns "no data"
-            try:
-                data = np.loadtxt(lines, dtype=float, delimiter=",", quotechar='"',
-                                  comments=None, usecols=columns, ndmin=2)
-            except ValueError:
-                pass
-        if data is None or not (np.isfinite(data).all() and np.isin(data[:, 0], (0.0, 1.0)).all()):
-            data = _parse_rows(path, lines, names, columns)
+            # about 64 KiB of lines at a time: as fast as one list of every line
+            lines = itertools.chain.from_iterable(iter(lambda: handle.readlines(1 << 16), []))
+            peeked = [next(lines, "")]      # up to the first non-blank line: with
+            while peeked[-1] and not peeked[-1].strip():    # none, loadtxt warns "no data"
+                peeked.append(next(lines, ""))
+            data = None
+            if peeked[-1]:
+                try:
+                    data = np.loadtxt(itertools.chain(peeked, lines), dtype=float, delimiter=",",
+                                      quotechar='"', comments=None, usecols=columns, ndmin=2)
+                except UnicodeDecodeError:
+                    raise
+                except ValueError:
+                    for _ in handle:        # decode the rest: a bad byte anywhere outranks
+                        pass                # a bad cell, as when the file was read whole
+            if data is None or not (np.isfinite(data).all() and np.isin(data[:, 0], (0, 1)).all()):
+                _read_header(handle)
+                data = _parse_rows(path, handle, names, columns)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -144,7 +149,15 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
     )
 
 
-def _parse_rows(path, lines: list[str], names: list[str], columns: list[int]) -> np.ndarray:
+def _read_header(handle) -> list[str] | None:
+    """Seek to the start, past a byte-order mark, and read the header record."""
+    handle.seek(0)
+    if handle.read(1) != "\ufeff":     # skip a byte-order mark, as utf-8-sig
+        handle.seek(0)                  # would, without loading that codec
+    return next(csv.reader(handle), None)
+
+
+def _parse_rows(path, lines: Iterable[str], names: list[str], columns: list[int]) -> np.ndarray:
     """Parse the data lines one by one into columns (treatment, outcome, covariates).
 
     Raises the ParseError that names the first bad row and column."""

@@ -278,8 +278,9 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         raise InvalidArgument(f"at most 4502 score columns can be matched, got {z.shape[1]}")
     if not np.isfinite(z).all():
         raise InvalidArgument("scores contain NaN or inf")
-    inv = metric.inverse_covariance     # non-finite wherever w is
-    if not np.isfinite(inv).all():
+    # for k = 1, the property's 0.5 (W W' + (W W')') without forming W W'
+    inv = 0.5 * (w * w + w * w) if z.shape[1] == 1 else metric.inverse_covariance
+    if not np.isfinite(inv).all():      # non-finite wherever w is
         raise InvalidArgument("metric contains NaN or inf")
 
     queries = np.flatnonzero(t == query_label)
@@ -460,8 +461,8 @@ def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str =
     over the imputed subjects: all n for the ACE, the treated for the ACET.
 
     Raises:
-        InvalidArgument: unknown estimand, or an ACE without an into_treated
-            score.
+        InvalidArgument: unknown estimand, an ACE without an into_treated
+            score, or a value that overflows (outcomes near the largest double).
     """
     if estimand not in ESTIMANDS:
         raise InvalidArgument(f"unknown estimand {estimand!r}")
@@ -476,7 +477,10 @@ def estimate(sample: ObservationalSample, score: BalancingScore, estimand: str =
         matched.append(find_matches(score.into_treated, t, metric, n_matches, FOR_CONTROL))
 
     imputed = np.full(sample.n_subjects, np.nan)
-    for mset in matched:
-        imputed[mset.query_indices] = impute(sample, mset)
-    value = float(((2 * t - 1) * (y - imputed))[~np.isnan(imputed)].mean())
+    with np.errstate(over="ignore", invalid="ignore"):     # a non-finite value raises below
+        for mset in matched:
+            imputed[mset.query_indices] = impute(sample, mset)
+        value = float(((2 * t - 1) * (y - imputed))[(t == 1) | (estimand == "ace")].mean())
+    if not np.isfinite(value):
+        raise InvalidArgument("the effect estimate overflows; rescale the outcome")
     return CausalEstimate(value, imputed, tuple(matched), dict(score.diagnostics))

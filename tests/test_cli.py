@@ -617,6 +617,29 @@ class TestErrorFormat:
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", ["1", "3"])
+    @pytest.mark.parametrize("method", ["ambient", "ps-logistic", "sdr"])
+    def test_overflowing_outcome_exits_two(self, tmp_path, method, m, capsys):
+        # finite outcomes up to 1.7e308 of either sign: the contrast (and at
+        # m = 3 the imputed mean) overflows, where "value inf" was printed
+        rng = np.random.default_rng(3)
+        t = np.arange(40) % 2
+        y = (2 * t - 1) * 1.7e308 * rng.uniform(0.5, 1.0, size=40)
+        x = rng.normal(size=(40, 2))
+        f, out_file = tmp_path / "huge_y.csv", tmp_path / "out.csv"
+        f.write_text("t,y,a,b\n" + "".join(
+            f"{t[i]},{float(y[i])!r},{float(x[i, 0])!r},{float(x[i, 1])!r}\n"
+            for i in range(40)), encoding="utf-8")
+        code = main(["estimate", "--input", str(f), "--treatment", "t", "--outcome", "y",
+                     "--covariates", "a,b", "--method", method, "--m", m,
+                     "--output", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: the effect estimate overflows; rescale the outcome\n"
+        assert not out_file.exists()
+
     def test_missing_file(self, capsys):
         code = main([
             "estimate", "--input", "/nonexistent.csv", "--treatment", "T",

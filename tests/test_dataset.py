@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,68 @@ class TestLoadCsvErrorPath:
         assert sample.treatment.tolist() == [0, 1]
         assert sample.outcome.tolist() == [1000.0, 2.0]
         assert sample.covariates.tolist() == [[2.0], [3.0]]
+
+
+class TestStreamedIngest:
+    """The data lines reach the vectorised pass one at a time; the row-by-row
+    fallback reads the file again from its start."""
+
+    @pytest.mark.parametrize("body", [
+        ["", " ", "0,1,2,3,4"],
+        ["\t", "0,1,2,3,4"],
+        ["", "", "0,1,2,3,4", "1,2,3,4,5"],
+    ], ids=["space", "tab", "empty-lines"])
+    def test_blank_lines_before_the_first_row(self, tmp_path, body):
+        # a whitespace-only line is a one-field row to both readers
+        f = tmp_path / "d.csv"
+        write_lines(f, ["T,Y,a,b,c", *body])
+        args = (f, "T", "Y", ["a", "b"])
+        assert load_result(load_csv, *args) == load_result(reference_load_csv, *args)
+
+    def test_fallback_skips_a_header_record_of_two_lines(self, tmp_path):
+        # '1_0' is read by float but not by numpy, so the rows are read again
+        f = tmp_path / "d.csv"
+        write_lines(f, ['T,Y,"note', 'more",x1', "0,1,n,2", "1,2,m,1_0"])
+        sample = load_csv(f, "T", "Y", ["x1"])
+        assert sample.treatment.tolist() == [0, 1]
+        assert sample.outcome.tolist() == [1.0, 2.0]
+        assert sample.covariates.tolist() == [[2.0], [10.0]]
+        assert load_result(load_csv, f, "T", "Y", ["x1"]) == load_result(
+            reference_load_csv, f, "T", "Y", ["x1"])
+
+    @pytest.mark.parametrize("early", [None, "1,2,x", "1,inf,3"],
+                             ids=["only-the-byte", "bad-cell-first", "non-finite-first"])
+    def test_bad_byte_after_row_5000(self, tmp_path, early):
+        # far past the first decoded chunk; as when the file was decoded whole,
+        # the bad byte outranks a bad cell in an earlier row
+        rows = [f"{i % 2},{i}.5,{i}" for i in range(1, 6001)]
+        if early is not None:
+            rows[2] = early
+        f = tmp_path / "d.csv"
+        f.write_bytes(("t,y,x\n" + "\n".join(rows[:5001]) + "\n").encode()
+                      + b"1,\xff2,3\n" + ("\n".join(rows[5001:]) + "\n").encode())
+        with pytest.raises(ParseError,
+                           match=rf"^{re.escape(str(f))}: not UTF-8 text \(invalid start byte\)$"):
+            load_csv(f, "t", "y", ["x"])
+
+    def test_peak_memory_is_a_small_multiple_of_the_arrays(self, tmp_path):
+        # the file's lines were once held as a list: 5.1 times the arrays
+        rng = np.random.default_rng(11)
+        n, p = 20_000, 10
+        x, y = rng.normal(size=(n, p)), rng.normal(size=n)
+        t = (rng.uniform(size=n) < 0.5).astype(int)
+        f = tmp_path / "big.csv"
+        write_lines(f, ["treatment,outcome," + ",".join(f"x{j}" for j in range(p))] + [
+            ",".join([str(t[i]), *(repr(float(v)) for v in (y[i], *x[i]))]) for i in range(n)])
+        tracemalloc.start()
+        try:
+            sample = load_csv(f, "treatment", "outcome", [f"x{j}" for j in range(p)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sample.covariates.nbytes + sample.treatment.nbytes + sample.outcome.nbytes
+        assert arrays == n * (p + 2) * 8
+        assert peak < 3 * arrays
 
 
 class TestSampleValidation:

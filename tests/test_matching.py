@@ -227,6 +227,26 @@ class TestFindMatches:
             with pytest.raises(InvalidArgument):
                 find_matches(z, t, MahalanobisMetric(w), 1, FOR_TREATED)
 
+    @pytest.mark.parametrize("w", [1.0, -3e-170, 2.0 ** -537, 1.3e154, np.nan, np.inf])
+    def test_one_column_metric_forms_no_product(self, monkeypatch, w):
+        # k = 1 reads c = w^2, which has the bits of W W' (a subnormal at
+        # 2^-537), and keeps the error where 2 w^2 overflows (1.3e154)
+        metric = MahalanobisMetric(np.array([[w]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = metric.inverse_covariance
+        monkeypatch.setattr(MahalanobisMetric, "inverse_covariance",
+                            property(lambda self: pytest.fail("W W' formed for k = 1")))
+        z = np.array([[0.0], [1.0], [0.4], [2.0], [-0.7]])
+        t = np.array([1, 0, 0, 1, 0])
+        if not np.isfinite(inv).all():
+            with pytest.raises(InvalidArgument, match=r"^metric contains NaN or inf$"):
+                find_matches(z, t, metric, 2, FOR_TREATED)
+            return
+        assert inv[0, 0] == w * w
+        got = find_matches(z, t, metric, 2, FOR_TREATED)
+        diff = z[got.query_indices] - z[got.donor_indices][..., 0]
+        assert got.distances.tolist() == np.sqrt(diff * inv[0, 0] * diff).tolist()
+
     def test_agrees_with_brute_force(self):
         rng = RngStream(52)
         for rep in range(20):
