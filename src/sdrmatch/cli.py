@@ -9,7 +9,9 @@ thread count never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import os
 import sys
 
@@ -139,17 +141,13 @@ def cmd_estimate(args) -> int:
     for mset in sorted(result.matches, key=lambda mset: mset.direction):
         pretty = " ".join(repr(float(q)) for q in _five_number(mset.distances))
         lines.append(f"match_distance_quantiles {mset.direction} {pretty}")
-    print("\n".join(lines))
+    _write(lines, None)
 
     if args.output is not None:
-        rows = [_header_line(args), "subject,treatment,outcome,imputed"]
-        for i in range(sample.n_subjects):
-            imp = result.imputed[i]
-            rows.append(
-                f"{i},{int(sample.treatment[i])},{float(sample.outcome[i])!r},"
-                f"{repr(float(imp)) if np.isfinite(imp) else ''}"
-            )
-        _write("\n".join(rows) + "\n", args.output)
+        rows = zip(sample.treatment, sample.outcome, result.imputed, np.isfinite(result.imputed))
+        _write(itertools.chain([_header_line(args), "subject,treatment,outcome,imputed"], (
+            f"{i},{int(t)},{float(y)!r},{repr(float(imp)) if finite else ''}"
+            for i, (t, y, imp, finite) in enumerate(rows))), args.output)
     return 0
 
 
@@ -173,26 +171,26 @@ def _check_output(path) -> None:
         os.remove(path)
 
 
-def _write(text: str, path) -> None:
-    """Write text to the file at path, or to stdout when no path is given."""
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(lines, path) -> None:
+    """Write each line and a newline to the file at path, or to stdout when no path is given."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8") if path is not None else contextlib.nullcontext(
+            sys.stdout) as handle:
+        while batch := list(itertools.islice(lines, 4096)):   # one write per 4,096 lines: as
+            handle.write("\n".join(batch) + "\n")          # fast as one string, bounded memory
 
 
-def _format_report_csv(report, header: str) -> str:
+def _format_report_csv(report, header: str) -> list[str]:
     lines = [header, "method,bias,sd,rmse,truth,reps,failures"]
     for method, res in report.methods.items():
         lines.append(
             f"{method},{res.bias!r},{res.sd!r},{res.rmse!r},"
             f"{report.truth!r},{report.reps},{res.failures}"
         )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _format_report_text(report, header: str) -> str:
+def _format_report_text(report, header: str) -> list[str]:
     lines = [
         header,
         f"scenario {report.scenario} estimand {report.estimand} "
@@ -205,7 +203,7 @@ def _format_report_text(report, header: str) -> str:
             f"{label:<32}{res.bias:>12.4f}{res.sd:>12.4f}{res.rmse:>12.4f}"
             f"{res.failures:>10d}"
         )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def cmd_simulate(args) -> int:
@@ -270,7 +268,7 @@ def cmd_diagnose(args) -> int:
             _histogram_rows(f"reduced_{j + 1}", reduced[:, j], sample.treatment, args.bins)
         )
     rows.extend(_histogram_rows("propensity", scores, sample.treatment, args.bins))
-    _write("\n".join(rows) + "\n", args.output)
+    _write(rows, args.output)
     return 0
 
 

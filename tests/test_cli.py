@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,22 @@ class TestOutputFile:
         out_file.write_bytes(b"x" * (len(printed) + 100))
         assert main([*argv, "--output", str(out_file)]) == 0
         assert out_file.read_bytes() == printed
+
+    def test_lines_stream_to_the_file(self, tmp_path):
+        # 100,000 lines make a 2.3 MB file; held as a list and joined into one
+        # string, they peak at about 10 MB
+        def lines():
+            return (f"{i},{i / 7!r}" for i in range(100_000))
+
+        out_file = tmp_path / "lines.csv"
+        tracemalloc.start()
+        try:
+            cli._write(lines(), str(out_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert out_file.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in lines())
 
 
 def write_separated_csv(path, n=40):
