@@ -88,7 +88,7 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
     """
     if method not in METHODS:
         raise InvalidArgument(f"unknown method {method!r}")
-    check_tuning(n_slices, alpha)
+    sdr.check_tuning(n_slices, alpha)
     if truth is None and METHODS[method][1]:
         raise InvalidArgument(f"method {method!r} needs the data-generating truth")
     x = sample.covariates
@@ -116,14 +116,6 @@ def balancing_score(method: str, sample: ObservationalSample, *, estimand: str,
         return BalancingScore(x @ truth.spec.oracle_basis_control,
                               x @ truth.spec.oracle_basis_treated)
     return BalancingScore.ambient(x[:, list(truth.spec.active_columns)])  # active-set-oracle
-
-
-def check_tuning(n_slices: int, alpha: float) -> None:
-    """Reject SIR tuning that no fit could run with: n_slices < 2, alpha outside (0, 1)."""
-    if n_slices < 2:
-        raise InvalidArgument(f"need at least 2 slices, got {n_slices}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)

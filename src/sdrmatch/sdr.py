@@ -73,6 +73,14 @@ class CentralSubspaceEstimate:
         return self.standardization.inv_sqrt_cov @ self.basis
 
 
+def check_tuning(n_slices: int = 2, alpha: float = 0.5) -> None:
+    """Reject SIR tuning that no fit could run with: n_slices < 2, alpha outside (0, 1)."""
+    if n_slices < 2:
+        raise InvalidArgument(f"need at least 2 slices, got {n_slices}")
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
+
+
 def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> SlicedMoments:
     """Assign subjects to outcome slices and average their covariate rows.
 
@@ -87,8 +95,7 @@ def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> Slic
     """
     y = np.asarray(outcomes, dtype=float)
     z = np.atleast_2d(np.asarray(standardized_covariates, dtype=float))
-    if n_slices < 2:
-        raise InvalidArgument(f"need at least 2 slices, got {n_slices}")
+    check_tuning(n_slices)
     n = y.shape[0]
     if z.shape[0] != n:
         raise InvalidArgument("outcomes and covariate rows must align")
@@ -140,8 +147,7 @@ def sequential_rank_test(eigenvalues, n_obs: int, p: int, n_slices: int,
     Raises:
         InvalidArgument: alpha outside (0, 1), NaN included.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
+    check_tuning(alpha=alpha)
     lam = np.asarray(eigenvalues, dtype=float)
     cap = min(p, n_slices - 1)
     pvalues = np.empty(cap)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matching
+from . import matching, sdr
 from .dataset import ObservationalSample
 from .errors import ConfigError, InvalidArgument, SdrMatchError
 from .numerics import RngStream, spd_power
@@ -509,7 +509,7 @@ def run_monte_carlo(spec: ScenarioSpec, reps: int, seed: int = 0,
         raise InvalidArgument(f"threads must be >= 1, got {threads}")
     if n_matches < 1:
         raise InvalidArgument(f"n_matches must be >= 1, got {n_matches}")
-    matching.check_tuning(n_slices, alpha)
+    sdr.check_tuning(n_slices, alpha)
     truth, source = true_effect(spec, estimand, seed)
 
     def work(rep: int) -> dict:
