@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -162,7 +163,7 @@ def _parse_rows(path, lines: Iterable[str], names: list[str], columns: list[int]
 
     Raises the ParseError that names the first bad row and column."""
     needed = max(columns)
-    rows = []
+    values = array("d")
     for i, row in enumerate(csv.reader(lines), start=1):
         if not row:
             continue
@@ -173,11 +174,11 @@ def _parse_rows(path, lines: Iterable[str], names: list[str], columns: list[int]
             raise ParseError(
                 f"row {i}, column '{names[0]}': treatment must be 0 or 1, got {t_val:g}"
             )
-        rows.append([t_val, *(_parse_cell(row[j], i, name)
-                              for name, j in zip(names[1:], columns[1:]))])
-    if not rows:
+        values.append(t_val)
+        values.extend(_parse_cell(row[j], i, name) for name, j in zip(names[1:], columns[1:]))
+    if not values:
         raise ParseError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return np.frombuffer(values).reshape(-1, len(names))
 
 
 def fit_standardization(sample: ObservationalSample, group: int) -> StandardizationMap:

@@ -302,15 +302,18 @@ class TestStreamedIngest:
                            match=rf"^{re.escape(str(f))}: not UTF-8 text \(invalid start byte\)$"):
             load_csv(f, "t", "y", ["x"])
 
-    def test_peak_memory_is_a_small_multiple_of_the_arrays(self, tmp_path):
-        # the file's lines were once held as a list: 5.1 times the arrays
+    @staticmethod
+    def peak_and_array_bytes(f, n, p, last_cell=None):
+        """Write n rows of p normal covariates to f, the last row's last cell
+        replaced by last_cell if given; load it under tracemalloc."""
         rng = np.random.default_rng(11)
-        n, p = 20_000, 10
         x, y = rng.normal(size=(n, p)), rng.normal(size=n)
         t = (rng.uniform(size=n) < 0.5).astype(int)
-        f = tmp_path / "big.csv"
-        write_lines(f, ["treatment,outcome," + ",".join(f"x{j}" for j in range(p))] + [
-            ",".join([str(t[i]), *(repr(float(v)) for v in (y[i], *x[i]))]) for i in range(n)])
+        rows = [",".join([str(t[i]), *(repr(float(v)) for v in (y[i], *x[i]))]) for i in range(n)]
+        if last_cell is not None:
+            rows[-1] = rows[-1].rsplit(",", 1)[0] + "," + last_cell
+        write_lines(f, ["treatment,outcome," + ",".join(f"x{j}" for j in range(p)), *rows])
+        del rows
         tracemalloc.start()
         try:
             sample = load_csv(f, "treatment", "outcome", [f"x{j}" for j in range(p)])
@@ -319,6 +322,19 @@ class TestStreamedIngest:
             tracemalloc.stop()
         arrays = sample.covariates.nbytes + sample.treatment.nbytes + sample.outcome.nbytes
         assert arrays == n * (p + 2) * 8
+        return peak, arrays, sample
+
+    def test_peak_memory_is_a_small_multiple_of_the_arrays(self, tmp_path):
+        # the file's lines were once held as a list: 5.1 times the arrays
+        peak, arrays, _ = self.peak_and_array_bytes(tmp_path / "big.csv", 20_000, 10)
+        assert peak < 3 * arrays
+
+    def test_row_by_row_fallback_peak_is_a_small_multiple_of_the_arrays(self, tmp_path):
+        # '1_0' in the last row sends every row to the fallback, which once
+        # held each row as a list of Python floats: 6.0 times the arrays
+        peak, arrays, sample = self.peak_and_array_bytes(tmp_path / "big.csv", 20_000, 10,
+                                                         last_cell="1_0")
+        assert sample.covariates[-1, -1] == 10.0
         assert peak < 3 * arrays
 
 
