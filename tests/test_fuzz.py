@@ -56,7 +56,7 @@ def write_csv(path, n, columns, treatment, outcome, outcome_scale, seed):
         x[:, j] = scale * {
             "normal": lambda: rng.normal(size=n),
             "constant": lambda: np.full(n, 3.0),
-            "duplicate": lambda: rng.normal(size=n),
+            "duplicate": lambda: rng.normal(size=n),     # the first column copies none
             "tied": lambda: np.round(rng.normal(size=n)),
             "binary": lambda: (rng.random(n) < 0.5).astype(float),
         }[kind]()
