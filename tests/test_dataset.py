@@ -313,7 +313,6 @@ class TestStreamedIngest:
         if last_cell is not None:
             rows[-1] = rows[-1].rsplit(",", 1)[0] + "," + last_cell
         write_lines(f, ["treatment,outcome," + ",".join(f"x{j}" for j in range(p)), *rows])
-        del rows
         tracemalloc.start()
         try:
             sample = load_csv(f, "treatment", "outcome", [f"x{j}" for j in range(p)])
