@@ -4,8 +4,8 @@ All other modules build on the handful of kernels defined here. Matrices are
 plain float64 numpy arrays; eigen-decompositions follow a fixed ordering and
 sign convention so that downstream bases are reproducible run to run.
 
-The chi-square tail (integer df only) is closed-form ``math``; scipy is imported
-only inside ``RngStream.normal``, for ``ndtri``, so estimating never loads it.
+The chi-square tail (integer df only) is closed-form ``math`` and the normal
+quantile a numpy port of Cephes ``ndtri`` with scipy's bits: numpy alone suffices.
 """
 
 from __future__ import annotations
@@ -31,6 +31,25 @@ _PSD_RTOL = 1e-10
 _RIDGE_SCALE = 1e-8
 _UINT64_MASK = (1 << 64) - 1
 _INV_2POW53 = 2.0 ** -53
+# Cephes ndtri (Moshier 1989), as scipy has it: P0/Q0 centre, P1/Q1 tail, P2/Q2 far tail
+_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
 class EigenDecomposition(NamedTuple):
@@ -152,5 +171,43 @@ class RngStream:
 
     def normal(self, size=None) -> np.ndarray:
         """Standard normals via the inverse CDF, one uniform per draw."""
-        from scipy.special import ndtri
-        return ndtri(self.uniform(size))
+        return _ndtri(self.uniform(size))
+
+
+def _ratio(w, p, q):
+    """Cephes w * polevl(w, p) / p1evl(w, q), left to right; q's leading 1 is implicit."""
+    num, den = np.full_like(w, p[0]), w + q[0]
+    for out, coef in ((num, p[1:]), (den, q[1:])):
+        for c in coef:
+            out *= w
+            out += c
+    return w * num / den
+
+
+def _libm_log(v: np.ndarray) -> np.ndarray:
+    """The C library's log of each v > 0 in one call. numpy's float64 log may differ in the
+    last bit; the real part of its complex128 log, glibc's clog, is log(hypot(v, 0)) = log(v)
+    for normal v outside [0.5, 2) and math.log serves the rest (ndtri's tails have none)."""
+    out = np.log(v.astype(np.complex128)).real
+    near = np.flatnonzero((v >= 0.5) & (v < 2.0))
+    out[near] = [math.log(e) for e in v[near]]
+    return out
+
+
+def _ndtri(y0):
+    """Cephes ndtri, the standard normal quantile of y0 in (0, 1), op for op as scipy's."""
+    y0 = np.asarray(y0, dtype=float)
+    upper = (y0 > 1.0 - _EXP_M2).ravel()
+    y = np.where(upper, 1.0 - y0.ravel(), y0.ravel())
+    out, inner = np.empty_like(y), y > _EXP_M2
+    mid, tail = np.flatnonzero(inner), np.flatnonzero(~inner)     # indices beat masks here
+    c = y[mid] - 0.5
+    out[mid] = (c + c * _ratio(c * c, _NDTRI_P0, _NDTRI_Q0)) * 2.50662827463100050242
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))     # x >= 2, as log fl(exp(-2)) = -2.0
+    x1 = _ratio(1.0 / x, _NDTRI_P1, _NDTRI_Q1)
+    far = np.flatnonzero(x >= 8.0)      # y < exp(-32)
+    if far.size:
+        x1[far] = _ratio(1.0 / x[far], _NDTRI_P2, _NDTRI_Q2)
+    x = x - _libm_log(x) / x - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out.reshape(y0.shape)[()]

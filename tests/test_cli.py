@@ -685,19 +685,21 @@ data = ["--input", {lalonde!r}, "--treatment", "treat", "--outcome", "re78",
 for argv in (["estimate", *data, "--method", "sdr"],
              ["estimate", *data, "--method", "ps-logistic"],
              ["estimate", *data, "--method", "ambient"],
-             ["diagnose", *data]):
+             ["diagnose", *data],
+             ["simulate", "--scenario", "case1-II", "--n", "100", "--reps", "4",
+              "--methods", "ambient"]):
     assert sdrmatch.cli.main(argv) == 0, argv
     assert not scipy_modules(), (argv[0], scipy_modules())
-# normals import scipy.special lazily, here from two worker threads at once
+# normals need numpy alone, here drawn from two worker threads at once
 argv = ["simulate", "--scenario", "case1-II", "--n", "100", "--reps", "4",
         "--methods", "ambient", "--threads", "2"]
 assert sdrmatch.cli.main(argv) == 0
-assert "scipy.special" in sys.modules
+assert not scipy_modules(), ("simulate --threads 2", scipy_modules())
 """
 
 
 class TestImportFootprint:
-    def test_estimate_and_diagnose_never_load_scipy(self):
+    def test_no_subcommand_loads_scipy(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -522,6 +523,34 @@ class TestRngStream:
         rng._gen = Words()
         assert rng.uniform(2).tolist() == [1.0 - 2.0 ** -53, (2.0 ** 53 - 2.0 + 0.5) * 2.0 ** -53]
         assert np.isfinite(rng.normal(2)).all()
+
+    @staticmethod
+    def same_bits(a, b):
+        return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+    def test_normal_is_scipy_ndtri_of_the_uniform(self):
+        # the numpy port of Cephes ndtri keeps scipy's bits on every draw
+        for seed in range(5):
+            u = RngStream(seed, 7).uniform(250_000)
+            assert self.same_bits(RngStream(seed, 7).normal(250_000), special.ndtri(u))
+        u = RngStream(3).uniform((40, 25))
+        assert self.same_bits(RngStream(3).normal((40, 25)), special.ndtri(u))
+        assert self.same_bits(RngStream(3).normal(), special.ndtri(RngStream(3).uniform()))
+
+    def test_normal_keeps_scipy_bits_at_branch_edges_and_extremes(self, monkeypatch):
+        # the P0/Q0 tests at fl(e^-2) and 1 - fl(e^-2), both uniform extremes, and
+        # the far-tail P2/Q2 branch (y < e^-32) reached by both ends
+        edge = 0.13533528323661269189
+        values = [2.0 ** -54, 1.0 - 2.0 ** -53, 1e-15, 1.0 - 1e-15, 2e-14, 0.5]
+        for v in (edge, 1.0 - edge):
+            values += [v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)]
+        values = np.array(values)
+        assert values[2] < math.exp(-32.0) < values[4]     # P2/Q2 at 1e-15, P1/Q1 at 2e-14
+        stream = RngStream(0)
+        monkeypatch.setattr(stream, "uniform", lambda size=None: values)
+        got = stream.normal(values.size)
+        assert self.same_bits(got, special.ndtri(values))
+        assert np.isfinite(got).all() and got[0] < -8.0 < 8.0 < got[1]
 
     def test_normal_moments(self):
         z = RngStream(9).normal(100000)
