@@ -286,17 +286,21 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
             f"{donors.size} donors available, {n_matches} matches requested"
         )
 
-    # Only the first m of identical donor rows can be picked. A stable sort on
-    # the score for k = 1 (the order the window search reads), else on an exact,
-    # wrapping integer mix of each row's bits, puts them in runs in index order
-    # (rows sharing a key may split a run); keep each run's first m.
+    # Only the first m of identical donor rows can be picked. Two can be identical
+    # only if a stable sort on the first column (the k = 1 window's order) has equal
+    # neighbours. Then it for k = 1, else one on an exact, wrapping integer mix of
+    # each row's bits, puts them in runs in index order (rows sharing a key may split
+    # a run); keep each run's first m.
     zq, zd = z[queries], z[donors]
-    key = zd if z.shape[1] == 1 else zd.view(np.uint64)     # k = 1 by value: -0.0 == 0.0
-    kept = np.argsort(zd[:, 0] if z.shape[1] == 1 else key @ np.cumprod(
-        np.full(z.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64)), kind="stable")
-    key, pos, run = key[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
-    run[1:] = (key[1:] != key[:-1]).any(axis=1)         # True where a run starts
-    donors = donors[kept[pos - np.maximum.accumulate(pos * run) < n_matches]]
+    kept = np.argsort(zd[:, 0], kind="stable")
+    if (np.diff(zd[kept, 0]) == 0.0).any():    # finite: a - b == 0 iff a == b, -0.0 == 0.0
+        key = zd if z.shape[1] == 1 else zd.view(np.uint64)     # k = 1 by value
+        kept = kept if z.shape[1] == 1 else np.argsort(key @ np.cumprod(
+            np.full(z.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64)), kind="stable")
+        key, pos, run = key[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
+        run[1:] = (key[1:] != key[:-1]).any(axis=1)         # True where a run starts
+        kept = kept[pos - np.maximum.accumulate(pos * run) < n_matches]
+    donors = donors[kept]
     zd = z[donors]
     if z.shape[1] == 1:
         picked, d2_picked = _window_pick(zq[:, 0], zd[:, 0], inv[0, 0], donors, n_matches,

@@ -267,6 +267,49 @@ class TestFindMatches:
                 assert mine.donor_indices.tolist() == expected
 
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_donors_tied_in_the_first_column_agree_with_brute_force(self, k):
+        # first-column values shared by many donors (some of them -0.0 and
+        # 0.0, equal as values), later columns distinct or duplicated: the
+        # duplicate collapse must keep exactly the brute-force picks
+        rng = RngStream(61 + k)
+        for rep in range(12):
+            n = 30 + int(rng.uniform() * 60)
+            z = rng.normal((n, k))
+            z[:, 0] = np.round(z[:, 0] * 2.0) / 2.0
+            signed_zero = rng.uniform(n) < 0.3
+            z[signed_zero, 0] = np.where(rng.uniform(int(signed_zero.sum())) < 0.5, -0.0, 0.0)
+            if rep % 3 == 0:
+                z[n // 2:] = z[:n - n // 2]     # whole rows repeated
+            t = (rng.uniform(n) < 0.5).astype(int)
+            m = 1 + rep % 3
+            if t.sum() < m + 1 or (1 - t).sum() < m + 1:
+                continue
+            metric = MahalanobisMetric(np.eye(k) + 0.3 * np.tri(k, k, -1))
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                mine = find_matches(z, t, metric, m, direction)
+                queries, expected = brute_force_matches(
+                    z, t, metric.inverse_covariance, m, direction
+                )
+                assert mine.query_indices.tolist() == queries
+                assert mine.donor_indices.tolist() == expected
+                assert mine.distances.tolist() == brute_force_distances(
+                    z, queries, expected, metric.inverse_covariance)
+
+    def test_signed_zero_first_columns_tie(self):
+        # -0.0 == 0.0: donors 1 and 2 are the same point for k = 1 and tie by
+        # index; for k = 2 the second column separates them
+        t = np.array([1, 0, 0, 0])
+        for z, first in (([[0.1], [-0.0], [0.0], [1.0]], [1, 2]),
+                         ([[0.0, 0.0], [-0.0, 0.5], [0.0, 0.25], [0.0, 0.5]], [2, 1])):
+            z = np.array(z)
+            metric = MahalanobisMetric(np.eye(z.shape[1]))
+            got = find_matches(z, t, metric, 2, FOR_TREATED)
+            assert got.donor_indices.tolist() == [first]
+            _, expected = brute_force_matches(z, t, metric.inverse_covariance, 2, FOR_TREATED)
+            assert expected == [first]
+
+
 def loop_squared_distances(diff, inv):
     """The canonical squared distance of each (P, k) row, summed by a loop over
     score columns with add.accumulate along each row: the reference for the
