@@ -7,6 +7,7 @@ each treatment arm draws covariates from a known Gaussian (the "true PS").
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,9 @@ class GaussianMixtureDesign:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
@@ -147,8 +145,16 @@ def predict_ps(model: LogisticModel, covariates) -> np.ndarray:
     return np.clip(_sigmoid(eta), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
 
 
+@functools.lru_cache(maxsize=16)
+def _frozen_eigen(data: bytes, shape: tuple) -> numerics.EigenDecomposition:
+    """sym_eigen of the float64 matrix with these bytes, shared read-only: keyed by value."""
+    eig = numerics.sym_eigen(np.frombuffer(data).reshape(shape))
+    eig.eigenvalues.flags.writeable = eig.eigenvectors.flags.writeable = False
+    return eig
+
+
 def _log_mvn_density(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    eig = numerics.sym_eigen(cov)
+    eig = _frozen_eigen(cov.tobytes(), cov.shape)   # a design's covariances are constant
     values = eig.eigenvalues
     if values.min() <= 1e-12 * max(1.0, values.max()):
         raise NotPSD("covariance is singular; density undefined")

@@ -328,6 +328,19 @@ class GeneratedData:
     spec: ScenarioSpec
 
 
+def _root(cov) -> np.ndarray:
+    """spd_power(cov, 0.5), computed once per value (bytes and shape) and shared read-only."""
+    cov = np.asarray(cov, dtype=float)
+    return _frozen_root(cov.tobytes(), cov.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _frozen_root(data: bytes, shape: tuple) -> np.ndarray:
+    root = spd_power(np.frombuffer(data).reshape(shape), 0.5)
+    root.flags.writeable = False
+    return root
+
+
 def _case1_arms(spec: ScenarioSpec, rng: RngStream, n: int):
     """Marginal Bernoulli(0.5) treatment, Gaussian covariates within each arm."""
     design = spec.design
@@ -335,8 +348,8 @@ def _case1_arms(spec: ScenarioSpec, rng: RngStream, n: int):
     z = rng.normal((n, spec.p))
     x = np.empty((n, spec.p))
     is1 = t == 1
-    x[~is1] = design.mean0 + z[~is1] @ spd_power(design.cov0, 0.5)
-    x[is1] = design.mean1 + z[is1] @ spd_power(design.cov1, 0.5)
+    x[~is1] = design.mean0 + z[~is1] @ _root(design.cov0)
+    x[is1] = design.mean1 + z[is1] @ _root(design.cov1)
     return t, x
 
 
@@ -426,7 +439,7 @@ def monte_carlo_truth(spec: ScenarioSpec, estimand: str, seed: int,
                 w = true_ps_bayes(spec.design, x)
         elif estimand == "acet":
             # the treated arm alone: ACET averages the effect over the treated
-            x = spec.design.mean1 + rng.normal((m, spec.p)) @ spd_power(spec.design.cov1, 0.5)
+            x = spec.design.mean1 + rng.normal((m, spec.p)) @ _root(spec.design.cov1)
         else:
             x = _case1_arms(spec, rng, m)[1]
         total += float((w * effect_function(spec, x)).sum())

@@ -193,6 +193,17 @@ class TestTruePsBayes:
         total = true_ps_bayes(design, x) + true_ps_bayes(swapped, x)
         assert np.abs(total - 1.0).max() < 1e-12
 
+    def test_covariance_changed_in_place_is_not_served_stale(self):
+        # the decomposition is cached by the covariance's bytes, not its identity
+        cov = np.eye(2)
+        design = GaussianMixtureDesign(np.zeros(2), np.ones(2), np.eye(2), cov, 0.5)
+        x = RngStream(45).normal((20, 2))
+        first = true_ps_bayes(design, x)
+        cov[0, 1] = cov[1, 0] = 0.5
+        fresh = GaussianMixtureDesign(np.zeros(2), np.ones(2), np.eye(2), cov.copy(), 0.5)
+        assert np.array_equal(true_ps_bayes(design, x), true_ps_bayes(fresh, x))
+        assert not np.array_equal(true_ps_bayes(design, x), first)
+
     def test_singular_covariance_rejected(self):
         design = GaussianMixtureDesign(
             np.zeros(2), np.zeros(2), np.diag([1.0, 0.0]), np.eye(2), 0.5

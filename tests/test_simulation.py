@@ -112,6 +112,17 @@ class TestCase1Generator:
         data = generate(spec, RngStream(64, 0))
         assert data.true_ps.mean() == pytest.approx(0.5, abs=0.02)
 
+    def test_covariance_changed_in_place_is_not_served_stale(self):
+        # each arm's root is cached by the covariance's bytes, not its identity
+        spec = scenario("case1-III", n=200)
+        before = generate(spec, RngStream(66, 0)).sample.covariates
+        spec.design.cov1[:] = 4.0 * spec.design.cov1
+        after = generate(spec, RngStream(66, 0))
+        t = after.sample.treatment == 1
+        assert np.array_equal(after.sample.covariates[~t], before[~t])
+        shift = 10 ** -0.5      # case1-III's treated mean in every column
+        assert np.allclose(after.sample.covariates[t] - shift, 2.0 * (before[t] - shift))
+
     def test_determinism(self):
         spec = scenario("case1-I")
         a = generate(spec, RngStream(65, 3))
