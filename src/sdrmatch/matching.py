@@ -221,8 +221,8 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     treated subject; "for-control" is the reverse.
 
     Donors are ranked by the squared distance that _squared_distances
-    defines, ties going to the smaller donor index. Identical donor rows tie
-    for every query, so only the first m of each are kept. With q queries
+    defines, ties going to the smaller donor index. Donor rows equal by value
+    tie for every query, so only the first m of each are kept. With q queries
     and d donors, the search follows the number k of score columns:
 
     - k >= 2: per block, a whitened product (float32 for k < 1,000 unless its
@@ -286,18 +286,16 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
             f"{donors.size} donors available, {n_matches} matches requested"
         )
 
-    # Only the first m of identical donor rows can be picked. Two can be identical
-    # only if a stable sort on the first column (the k = 1 window's order) has equal
-    # neighbours. Then it for k = 1, else one on an exact, wrapping integer mix of
-    # each row's bits, puts them in runs in index order (rows sharing a key may split
-    # a run); keep each run's first m.
+    # Only the first m of identical donor rows can be picked: rows equal by value
+    # (-0.0 == 0.0) get the same d2 bits for every query, as its sum starts at +0.0.
+    # Two can be identical only if a stable sort on the first column (the k = 1
+    # window's order) has equal neighbours. Then a stable lexicographic sort puts
+    # them in runs in index order; keep each run's first m.
     zq, zd = z[queries], z[donors]
     kept = np.argsort(zd[:, 0], kind="stable")
     if (np.diff(zd[kept, 0]) == 0.0).any():    # finite: a - b == 0 iff a == b, -0.0 == 0.0
-        key = zd if z.shape[1] == 1 else zd.view(np.uint64)     # k = 1 by value
-        kept = kept if z.shape[1] == 1 else np.argsort(key @ np.cumprod(
-            np.full(z.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64)), kind="stable")
-        key, pos, run = key[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
+        kept = np.lexsort(zd.T[::-1])       # the first column is the primary key
+        key, pos, run = zd[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
         run[1:] = (key[1:] != key[:-1]).any(axis=1)         # True where a run starts
         kept = kept[pos - np.maximum.accumulate(pos * run) < n_matches]
     donors = donors[kept]

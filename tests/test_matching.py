@@ -309,6 +309,37 @@ class TestFindMatches:
             _, expected = brute_force_matches(z, t, metric.inverse_covariance, 2, FOR_TREATED)
             assert expected == [first]
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_donors_equal_by_value_collapse_for_every_k(self, monkeypatch, m):
+        # four k = 2 donors differ only in the sign of a zero: d2's sum starts
+        # at +0.0, so they tie for every query and are one point, like repeated
+        # rows; rows that tie only in the first column stay apart. Only the
+        # first m of each distinct-by-value row reach the filter
+        filter_candidates, seen = matching._filter_candidates, []
+
+        def recording(zq, zd, w, n_matches):
+            seen.append(zd.shape[0])
+            return filter_candidates(zq, zd, w, n_matches)
+
+        monkeypatch.setattr(matching, "_filter_candidates", recording)
+        z = np.array([[0.0, 0.0], [1.0, 2.0], [-0.0, 0.0], [1.0, -1.0], [0.0, -0.0],
+                      [1.0, 2.0], [0.0, 0.5], [-0.0, -0.0], [1.0, 0.5], [1.0, 2.0],
+                      [0.0, 0.0], [-0.0, 0.3], [1.0, 1.0], [0.5, -0.0], [-0.0, 2.0]])
+        t = np.array([0] * 10 + [1] * 5)
+        for metric in (MahalanobisMetric(np.eye(2)), MahalanobisMetric(np.array([[1.0, 0.0],
+                                                                                 [0.4, 0.8]]))):
+            for direction in (FOR_TREATED, FOR_CONTROL):
+                seen.clear()
+                mine = find_matches(z, t, metric, m, direction)
+                rows = z[t == int(direction == FOR_CONTROL)] + 0.0     # -0.0 + 0.0 is 0.0
+                _, counts = np.unique(rows, axis=0, return_counts=True)
+                assert seen == [np.minimum(counts, m).sum()]
+                queries, expected = brute_force_matches(
+                    z, t, metric.inverse_covariance, m, direction)
+                assert mine.donor_indices.tolist() == expected
+                assert mine.distances.tolist() == brute_force_distances(
+                    z, queries, expected, metric.inverse_covariance)
+
 
 def loop_squared_distances(diff, inv):
     """The canonical squared distance of each (P, k) row, summed by a loop over
@@ -436,9 +467,9 @@ class TestExactness:
             z[t == 0] = z[:m][np.arange((t == 0).sum()) % m] + 5.0
             return z, t
         # interleaved-key: copies of a and of b, a with two columns negated,
-        # alternate. Each negation flips bit 63 of one column, so a wrapping
-        # integer mix of the row bits with odd multipliers gives a and b one
-        # key, and their runs interleave in a stable sort
+        # alternate. Each negation flips only bit 63 of one column, so a
+        # wrapping integer mix of the row bits with odd multipliers would give
+        # a and b one key; their runs interleave in index order
         a = np.floor(rng.uniform(k) * 3.0) + 1.0
         b = a.copy()
         b[:2] *= -1.0
