@@ -197,6 +197,9 @@ def _libm_log(v: np.ndarray) -> np.ndarray:
 def _ndtri(y0):
     """Cephes ndtri, the standard normal quantile of y0 in (0, 1), op for op as scipy's."""
     y0 = np.asarray(y0, dtype=float)
+    if y0.size > 1 << 15:   # each entry is computed alone; blocks of 2^15 stay in cache
+        blocks = np.split(y0.ravel(), range(1 << 15, y0.size, 1 << 15))
+        return np.concatenate([_ndtri(block) for block in blocks]).reshape(y0.shape)
     upper = (y0 > 1.0 - _EXP_M2).ravel()
     y = np.where(upper, 1.0 - y0.ravel(), y0.ravel())
     out, inner = np.empty_like(y), y > _EXP_M2

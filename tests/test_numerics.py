@@ -552,6 +552,19 @@ class TestRngStream:
         assert self.same_bits(got, special.ndtri(values))
         assert np.isfinite(got).all() and got[0] < -8.0 < 8.0 < got[1]
 
+    def test_draws_past_a_block_keep_the_single_call_bits(self):
+        # _ndtri takes more than 2^15 entries in blocks of 2^15; every entry keeps
+        # the bits of one unblocked call over pieces cut at other places
+        u = RngStream(5, 2).uniform((7, 30_001))
+        pieces = np.split(u.ravel(), range(12_345, u.size, 30_000))
+        assert u.size > 6 * 2 ** 15 and max(piece.size for piece in pieces) <= 2 ** 15
+        single = np.concatenate([numerics._ndtri(piece) for piece in pieces])
+        got = RngStream(5, 2).normal((7, 30_001))
+        assert got.shape == u.shape and self.same_bits(got.ravel(), single)
+        scalar = RngStream(5, 2).normal()
+        assert np.ndim(scalar) == 0
+        assert self.same_bits(scalar, numerics._ndtri(RngStream(5, 2).uniform()))
+
     def test_normal_moments(self):
         z = RngStream(9).normal(100000)
         assert abs(z.mean()) < 0.02
