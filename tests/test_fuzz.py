@@ -1,7 +1,7 @@
 """Whole-pipeline fuzz gate: every drawn CSV gives a finite estimate or one typed error.
 
 Each example writes one CSV and runs ``estimate`` (every method that needs no
-data-generating truth, both estimands, m in {1, 3}, each with ``--output``)
+data-generating truth, both estimands, m in {1, 2, 3, 7}, each with ``--output``)
 and ``diagnose`` through ``cli.main`` in process. RuntimeWarning is an error
 (pytest settings), so a numpy warning on the way fails the example too.
 """
@@ -105,7 +105,7 @@ class TestPipelineFuzz:
                      ",".join(f"x{j}" for j in range(len(columns))), "--slices", str(slices)]
             for method in METHODS:
                 for estimand in matching.ESTIMANDS:
-                    for m in ("1", "3"):
+                    for m in ("1", "2", "3", "7"):
                         target = os.path.join(tmp, f"{method}-{estimand}-{m}.csv")
                         code, out, err = run(["estimate", *flags, "--method", method,
                                               "--estimand", estimand, "--m", m,
