@@ -205,8 +205,8 @@ def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 
 # Filter blocks hold at most max(this / itemsize, d) (query, donor) entries,
-# 2^18 per float64 array and 2^19 per float32 one; window blocks of width w
-# hold at most max(2^18, 2w + 2).
+# 2^18 per float64 array and 2^19 per float32 one; window blocks hold at most
+# max(2^18, d + 2).
 _BLOCK_BYTES = 1 << 21
 # Floating-point error allowed per score dimension, about 4500 unit roundoffs.
 _ROUNDING = 1e-12
@@ -230,17 +230,17 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
       the m lowest set each query's cut, and a min pass finds the few queries
       with more under it; these pairs go to a canonical re-rank. Time is
       O(d log d + q d (k + m)).
-    - k = 1: the donors are sorted by score. d2 does not decrease away from a
-      query's sorted position, so its first m by (d2, donor index) among the w
-      donors either side (w = m at first) are final when the next donor out on
-      each side is strictly farther, or once w = d. Other queries are read
-      again with w doubled, up to d. Time is O(d log d + q (m log m + log d))
-      when distinct scores rarely tie in distance.
+    - k = 1: the donors are sorted by score, between one -inf and one +inf.
+      d2 does not decrease away from a query's sorted position, so its first
+      m by (d2, donor index) among the min(2w, d) donors around it (w = m at
+      first) are final when the next donor out on each side is strictly
+      farther, or once 2w >= d. Other queries are read again with w doubled.
+      Time is O(d log d + q (m log m + log d)) when scores rarely tie in d2.
 
     Filter blocks of at most max(2^18, d) pairs, 2^19 for a float32 product
     (2 MiB either way), share a buffer made once per call, and are re-ranked
     together while their pairs' k columns fit 2 MiB; a window block holds at
-    most max(2^18, 2w + 2) entries. Memory is O((max(2^19, d) + q + d) k) floats.
+    most max(2^18, d + 2) entries. Memory is O((max(2^19, d) + q + d) k) floats.
 
     Raises:
         InvalidArgument: scores not n x k, unknown direction, n_matches < 1,
@@ -298,11 +298,10 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         key, pos, run = zd[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
         run[1:] = (key[1:] != key[:-1]).any(axis=1)         # True where a run starts
         kept = kept[pos - np.maximum.accumulate(pos * run) < n_matches]
-    donors = donors[kept]
-    zd = z[donors]
+    donors, zd = donors[kept], zd[kept]
     if z.shape[1] == 1:
-        picked, d2_picked = _window_pick(zq[:, 0], zd[:, 0], inv[0, 0], donors, n_matches,
-                                         n_matches)
+        xp = np.concatenate(([-np.inf], zd[:, 0], [np.inf]))
+        picked, d2_picked = _window_pick(zq[:, 0], xp, inv[0, 0], donors, n_matches, n_matches)
     else:
         picked = np.empty((queries.size, n_matches), dtype=np.int64)
         d2_picked = np.empty((queries.size, n_matches))
@@ -407,34 +406,33 @@ def _filter_candidates(zq, zd, w, n_matches):
             rows, cols, start = [], [], hi
 
 
-def _window_pick(xq, xs, c, donors, m, width):
-    """For one score column: xq are the query scores, xs the donor scores,
-    sorted and collapsed (see find_matches), donors their sample indices and c
-    the 1 x 1 inverse covariance's entry. Returns each query's first m donors
-    and their d2, read from the width donors either side of its sorted position."""
+def _window_pick(xq, xp, c, donors, m, width):
+    """For one score column: xq are the query scores, xp the sorted, collapsed
+    donor scores (see find_matches) between one -inf and one +inf, donors their
+    sample indices and c the 1 x 1 inverse covariance's entry. Returns each
+    query's first m donors and their d2, read from min(2 width, d) donors."""
     # The canonical d2 of a pair is fl(fl(|diff| c) |diff|), diff = fl(x_a - x_b):
     # the bits of the window's diff * c * diff. Rounding is monotone, so d2 does
-    # not decrease away from a query's sorted position on either side, and T,
-    # the m-th smallest (d2, donor index) in the window, is final when the next
-    # donor out on each side is strictly farther, or when the window holds every
-    # donor (width = size). Other rows are read again from a window twice as wide.
-    size = xs.size      # >= m
-    xp = np.concatenate((np.full(width + 1, -np.inf), xs, np.full(width + 1, np.inf)))
-    split, settled = np.searchsorted(xp, xq, side="left"), np.empty(xq.size, dtype=bool)
+    # not decrease away from a query's sorted position on either side. The window
+    # starts width + 1 before it, held inside xp, so its outer entries lie either
+    # side of it, and T, the m-th smallest (d2, donor index) among its donors, is
+    # final when both are strictly farther, or when it holds every donor.
+    span = min(2 * width, xp.size - 2) + 2    # >= m + 2
+    start = np.minimum(np.maximum(np.searchsorted(xp, xq) - width - 1, 0), xp.size - span)
     picked, d2_picked = np.empty((xq.size, m), dtype=np.int64), np.empty((xq.size, m))
-    step = max(1, max(_BLOCK_BYTES // 8, size) // (2 * width + 2))    # float64 blocks
-    for lo in range(0, xq.size, step):      # donors at sorted positions pos - width - 1
-        pos = split[lo:lo + step, None] + np.arange(-width - 1, width + 1)
-        diff = xq[lo:lo + step, None] - xp[pos]     # off the ends d2 is inf (nan at c = 0)
-        d2, index = diff * c * diff, np.take(donors, pos[:, 1:-1] - width - 1, mode="clip")
+    settled = np.empty(xq.size, dtype=bool)
+    step = max(1, max(_BLOCK_BYTES // 8, xp.size) // span)    # float64 blocks
+    for lo in range(0, xq.size, step):
+        pos = start[lo:lo + step, None] + np.arange(span)
+        diff = xq[lo:lo + step, None] - xp[pos]     # at xp's ends d2 is inf (nan at c = 0)
+        d2, index = diff * c * diff, donors[pos[:, 1:-1] - 1]
         rows, first = np.arange(pos.shape[0])[:, None], np.lexsort((index, d2[:, 1:-1]))[:, :m]
         picked[lo:lo + step] = index[rows, first]
         d2_picked[lo:lo + step] = cut = d2[:, 1:-1][rows, first]
         settled[lo:lo + step] = (d2[:, 0] > cut[:, -1]) & (d2[:, -1] > cut[:, -1])
     rest = np.flatnonzero(~settled)
-    if rest.size and width < size:
-        picked[rest], d2_picked[rest] = _window_pick(xq[rest], xs, c, donors, m,
-                                                     min(2 * width, size))
+    if rest.size and span < xp.size:
+        picked[rest], d2_picked[rest] = _window_pick(xq[rest], xp, c, donors, m, 2 * width)
     return picked, d2_picked
 
 

@@ -581,7 +581,8 @@ class TestExactness:
         # outside): every difference rounds to +-2^55, so every donor ties and
         # the next donor out of the window, on either side, ties T. The
         # smallest indices sit mid-range, so each row is read again from
-        # wider windows until one holds all 12 donors and picks by index
+        # wider windows until one holds all 12 donors (2 width >= 12) and
+        # picks by index
         seen = self.count_reranked_pairs(monkeypatch)
         widths = self.window_widths(monkeypatch)
         donors = 1.0 + np.array([5, 6, 4, 7, 3, 8, 2, 9, 1, 10, 0, 11]) * 2.0 ** -52
@@ -589,7 +590,7 @@ class TestExactness:
         t = np.r_[np.zeros(12, dtype=int), 1, 1, 1]
         self.check(z, t, m, FOR_TREATED, MahalanobisMetric(np.eye(1)))
         assert seen == []
-        assert widths[-1] == (12, 3)
+        assert widths[-1][1] == 3 and widths[-1][0] < 12 <= 2 * widths[-1][0]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_window_symmetric_donors_tie_by_index(self, monkeypatch, m):
@@ -646,9 +647,10 @@ class TestExactness:
         # 0.5 of each other seen from just past either end, whose d2 rounds
         # to 0 or 2^-1074 (W = 2^-537, so c is the smallest subnormal). The
         # smallest indices sit anywhere, so those rows are read from windows
-        # of m, 2m, 4m, ... donors either side until one holds all 40: three
-        # or more widenings. A third query amid the donors ties them too
-        # under W = 2^-537, and is settled in the first window under W = 1
+        # of 2m, 4m, 8m, ... donors until the first that holds all 40 (2 width
+        # >= 40): two or more widenings. A third query amid the donors ties
+        # them too under W = 2^-537, and is settled in the first window under
+        # W = 1
         seen = self.count_reranked_pairs(monkeypatch)
         widths = self.window_widths(monkeypatch)
         order = np.argsort(RngStream(97).uniform(40)).astype(float)
@@ -658,7 +660,8 @@ class TestExactness:
             t = np.r_[np.zeros(40, dtype=int), 1, 1, 1]
             widths.clear()
             self.check(z, t, m, FOR_TREATED, MahalanobisMetric(np.array([[w]])))
-            assert len(widths) >= 4 and widths[-1] == (40, tied)
+            assert len(widths) >= 3 and widths[-1][1] == tied
+            assert widths[-1][0] < 40 <= 2 * widths[-1][0]
         assert seen == []
 
     @pytest.mark.parametrize("w", [1.0, 0.0, 2.0 ** -537])
@@ -1063,9 +1066,9 @@ class TestExactness:
         """A list that receives (width, queries) for each one-column window pass."""
         pick, seen = matching._window_pick, []
 
-        def recording(xq, xs, c, donors, m, width):
+        def recording(xq, xp, c, donors, m, width):
             seen.append((width, xq.size))
-            return pick(xq, xs, c, donors, m, width)
+            return pick(xq, xp, c, donors, m, width)
 
         monkeypatch.setattr(matching, "_window_pick", recording)
         return seen
