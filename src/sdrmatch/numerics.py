@@ -187,11 +187,8 @@ def _ratio(w, p, q):
 def _libm_log(v: np.ndarray) -> np.ndarray:
     """The C library's log of each v > 0 in one call. numpy's float64 log may differ in the
     last bit; the real part of its complex128 log, glibc's clog, is log(hypot(v, 0)) = log(v)
-    for normal v outside [0.5, 2) and math.log serves the rest (ndtri's tails have none)."""
-    out = np.log(v.astype(np.complex128)).real
-    near = np.flatnonzero((v >= 0.5) & (v < 2.0))
-    out[near] = [math.log(e) for e in v[near]]
-    return out
+    for normal v outside [0.5, 2). _ndtri calls it only with y <= fl(e^-2) < 0.5 or x >= 2."""
+    return np.log(v.astype(np.complex128)).real
 
 
 def _ndtri(y0):
