@@ -302,6 +302,21 @@ class TestStreamedIngest:
                            match=rf"^{re.escape(str(f))}: not UTF-8 text \(invalid start byte\)$"):
             load_csv(f, "t", "y", ["x"])
 
+    @pytest.mark.parametrize("first", [None, "0,abc,1"], ids=["only-the-byte", "bad-cell-first"])
+    def test_bad_byte_in_the_last_of_8000_rows(self, tmp_path, first):
+        # the vectorised pass stops at a bad cell in row 1, long before the
+        # decoder reaches the last row; the rest of the file is decoded before
+        # the rows are read again, so the bad byte still outranks the cell
+        rows = [f"{i % 2},{i}.5,{i}" for i in range(1, 8000)]
+        if first is not None:
+            rows[0] = first
+        f = tmp_path / "d.csv"
+        f.write_bytes(("t,y,x\n" + "\n".join(rows) + "\n").encode() + b"1,\xff2,3\n")
+        assert f.stat().st_size > 100_000        # well past the first 64 KiB of lines
+        with pytest.raises(ParseError,
+                           match=rf"^{re.escape(str(f))}: not UTF-8 text \(invalid start byte\)$"):
+            load_csv(f, "t", "y", ["x"])
+
     @staticmethod
     def peak_and_array_bytes(f, n, p, last_cell=None):
         """Write n rows of p normal covariates to f, the last row's last cell
