@@ -243,7 +243,10 @@ def _parse_terms(raw, letter: str) -> list:
 
 
 def load_case3_config(path) -> Case3Config:
-    """Parse the family-3 coefficient config (JSON: key/value + term lists)."""
+    """Parse the family-3 coefficient config (JSON: key/value + term lists).
+
+    Raises ConfigError for any bad file, key or value, including outcome
+    coefficients whose norm is 0 or overflows (the oracle basis divides by it)."""
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -271,6 +274,10 @@ def load_case3_config(path) -> Case3Config:
         if not key.isdecimal() or not 1 <= int(key) <= CASE3_P:
             raise ConfigError(f"outcome coefficient index {key} outside 1..{CASE3_P}")
         omega[int(key) - 1] = _finite(value, f"outcome coefficient {key}")
+    with np.errstate(over="ignore"):    # the oracle basis is omega / norm
+        norm = float(np.linalg.norm(omega))
+    if not 0.0 < norm < np.inf:
+        raise ConfigError(f"outcome coefficients must have a finite, nonzero norm, got {norm!r}")
 
     scenarios = {
         letter: _parse_terms(terms, letter) for letter, terms in scenarios_raw.items()

@@ -309,6 +309,12 @@ MALFORMED_CONFIGS = {
     "coefficient-infinite": (
         _set_outcome("coefficients", {"1": float("inf")}),
         "outcome coefficient 1 must be a finite number, got inf"),
+    "coefficients-norm-overflows": (
+        _set_outcome("coefficients", {"1": 1e160}),
+        "outcome coefficients must have a finite, nonzero norm, got inf"),
+    "coefficients-all-zero": (
+        _set_outcome("coefficients", {"3": 0.0}),
+        "outcome coefficients must have a finite, nonzero norm, got 0.0"),
     "effect-nan": (
         _set_outcome("treatment_effect", float("nan")),
         "treatment_effect must be a finite number, got nan"),
