@@ -406,8 +406,9 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
             with np.errstate(over="ignore"):  # exp(-logit) = inf gives ps = 0
                 ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.design.scenarios[spec.model], x)))
         t = (rng.uniform(n) < ps).astype(np.int64)
-    eps = rng.normal(n) * spec.noise_sd
-    y = _mean_outcome(spec, x, t) + eps
+    with np.errstate(over="ignore", invalid="ignore"):  # ObservationalSample rejects inf, nan
+        eps = rng.normal(n) * spec.noise_sd
+        y = _mean_outcome(spec, x, t) + eps
     return GeneratedData(
         sample=ObservationalSample(covariates=x, treatment=t, outcome=y),
         true_ps=ps,

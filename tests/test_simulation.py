@@ -277,6 +277,20 @@ class TestCase3Generator:
             "ambient,nan,nan,nan,-0.4,2,2",
         ]
 
+    def test_overflowing_noise_exits_two_without_a_warning(self, tmp_path, capsys):
+        # noise_sd 1e308 times a normal draw beyond 1.8 overflows; the sample
+        # check rejects the outcome, and no RuntimeWarning comes first
+        path = tmp_path / "coefficients.json"
+        path.write_bytes(_set_outcome("noise_sd", 1e308))
+        with pytest.raises(InvalidArgument, match="covariates and outcomes must be finite"):
+            generate(scenario("case3-A", n=100, coefficients=load_case3_config(path)),
+                     RngStream(77, 0))
+        code = main(["simulate", "--scenario", "case3-A", "--n", "100", "--reps", "2",
+                     "--methods", "ambient", "--coef-config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: covariates and outcomes must be finite\n"
+
 
 def _edited_config(edit) -> bytes:
     cfg = json.loads(COEF_CONFIG.read_text(encoding="utf-8"))
