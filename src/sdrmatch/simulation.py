@@ -403,8 +403,11 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
             ps = true_ps_bayes(spec.design, x)
         else:
             x = _case3_covariates(rng, n)
-            with np.errstate(over="ignore"):  # exp(-logit) = inf gives ps = 0
+            with np.errstate(over="ignore", invalid="ignore"):  # exp(-logit) = inf gives ps = 0
                 ps = 1.0 / (1.0 + np.exp(-_eval_terms(spec.design.scenarios[spec.model], x)))
+            if np.isnan(ps).any():      # such as inf - inf from opposite terms
+                raise ConfigError(f"scenario {spec.model}: the treatment logit is not a number; "
+                                  "rescale its coefficients")
         t = (rng.uniform(n) < ps).astype(np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # ObservationalSample rejects inf, nan
         eps = rng.normal(n) * spec.noise_sd

@@ -291,6 +291,23 @@ class TestCase3Generator:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: covariates and outcomes must be finite\n"
 
+    @pytest.mark.parametrize("terms", [[["quad", 4, 1e308], ["quad", 7, -1e308]],
+                                       [["inter", 4, 5, 1e308]]], ids=["opposite", "inf-times-0"])
+    def test_nan_logit_exits_two_without_a_warning(self, tmp_path, capsys, terms):
+        # inf - inf, or 1e308 x_4 overflowing before it meets a binary x_5 = 0,
+        # gives a NaN logit; uniform < NaN would put such a row in control
+        path = tmp_path / "coefficients.json"
+        path.write_bytes(_edited_config(lambda cfg: cfg["scenarios"]["A"].extend(terms)))
+        message = "scenario A: the treatment logit is not a number; rescale its coefficients"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            generate(scenario("case3-A", n=100, coefficients=load_case3_config(path)),
+                     RngStream(78, 0))
+        code = main(["simulate", "--scenario", "case3-A", "--n", "100", "--reps", "2",
+                     "--methods", "ambient", "--threads", "2", "--coef-config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 def _edited_config(edit) -> bytes:
     cfg = json.loads(COEF_CONFIG.read_text(encoding="utf-8"))
