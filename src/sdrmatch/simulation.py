@@ -525,7 +525,8 @@ def run_monte_carlo(spec: ScenarioSpec, reps: int, seed: int = 0,
 
     Raises:
         InvalidArgument: reps < 2, threads < 1, n_matches < 1, n_slices < 2
-            or alpha outside (0, 1): arguments no replicate could run with.
+            or alpha outside (0, 1): arguments no replicate could run with; or
+            a method's bias, SD or RMSE that overflows.
     """
     if reps < 2:
         raise InvalidArgument(f"need at least 2 replicates, got {reps}")
@@ -552,9 +553,12 @@ def run_monte_carlo(spec: ScenarioSpec, reps: int, seed: int = 0,
         good = values[np.isfinite(values)]
         failures = int(values.size - good.size)
         if good.size >= 2:
-            bias = float(good.mean() - truth)
-            sd = float(good.std(ddof=1))
-            rmse = float(np.sqrt(np.mean((good - truth) ** 2)))
+            with np.errstate(over="ignore", invalid="ignore"):     # an overflow raises below
+                bias = float(good.mean() - truth)
+                sd = float(good.std(ddof=1))
+                rmse = float(np.sqrt(np.mean((good - truth) ** 2)))
+            if not np.isfinite([bias, sd, rmse]).all():
+                raise InvalidArgument(f"the {method} summary overflows; rescale the outcome")
         else:
             bias = sd = rmse = float("nan")
         methods[method] = MethodResult(bias=bias, sd=sd, rmse=rmse, failures=failures)

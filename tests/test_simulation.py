@@ -308,6 +308,22 @@ class TestCase3Generator:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_overflowing_summary_exits_two_without_a_warning(self, tmp_path, capsys):
+        # with noise_sd 1e160 each estimate is finite, near 1e159, but the
+        # squares in its SD and RMSE overflow; the report would print inf
+        path = tmp_path / "coefficients.json"
+        path.write_bytes(_set_outcome("noise_sd", 1e160))
+        spec = scenario("case3-A", n=100, methods=("ambient",),
+                        coefficients=load_case3_config(path))
+        with pytest.raises(InvalidArgument, match="^the ambient summary overflows; rescale the "
+                                                  "outcome$"):
+            run_monte_carlo(spec, 3)
+        code = main(["simulate", "--scenario", "case3-A", "--n", "100", "--reps", "3",
+                     "--methods", "ambient", "--coef-config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: the ambient summary overflows; rescale the outcome\n"
+
 
 def _edited_config(edit) -> bytes:
     cfg = json.loads(COEF_CONFIG.read_text(encoding="utf-8"))
