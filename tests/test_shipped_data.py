@@ -1,6 +1,6 @@
-"""The shipped stand-in dataset is the output of its builder, byte for byte.
+"""The shipped stand-in dataset is the output of its build script, byte for byte.
 
-The builder draws every value from RngStream (uniforms and normals), so this
+The script draws every value from RngStream (uniforms and normals), so this
 also checks those draws end to end, to the digits the file keeps, under
 whatever BLAS kernel and numpy SIMD loops the run uses."""
 
@@ -11,11 +11,11 @@ REPO = Path(__file__).resolve().parents[1]
 SHIPPED = REPO / "data" / "lalonde_cps3_synthetic.csv"
 
 
-def test_builder_reproduces_the_shipped_csv(tmp_path):
+def test_build_script_reproduces_the_shipped_csv(tmp_path):
     spec = importlib.util.spec_from_file_location(
         "build_lalonde_standin", REPO / "tools" / "build_lalonde_standin.py")
-    builder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(builder)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
     built = tmp_path / "built.csv"
-    builder.write_csv(builder.build(), built)
+    script.write_csv(script.build(), built)
     assert built.read_bytes() == SHIPPED.read_bytes()
