@@ -198,13 +198,19 @@ def fit_standardization(sample: ObservationalSample, group: int) -> Standardizat
         raise InsufficientData(
             f"group {group} has {rows.shape[0]} subjects; need at least {p + 1}"
         )
+    return whitening_fit(rows, f"the covariate covariance in group {group} is not finite; "
+                               "rescale the covariates")
+
+
+def whitening_fit(rows: np.ndarray, message: str) -> StandardizationMap:
+    """The rows' mean and the ridged inverse square root of their sample covariance,
+    which has np.cov(rows, rowvar=False)'s bits; InvalidMatrix(message) if it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         mean = rows.mean(axis=0)
         e = rows - mean
-        cov = (e.T @ e) * (1.0 / (rows.shape[0] - 1))     # np.cov(rows, rowvar=False)'s bits
+        cov = (e.T @ e) * (1.0 / (rows.shape[0] - 1))
     if not np.isfinite(cov).all():
-        raise InvalidMatrix(f"the covariate covariance in group {group} is not finite; "
-                            "rescale the covariates")
+        raise InvalidMatrix(message)
     return StandardizationMap(group_mean=mean, inv_sqrt_cov=numerics.inverse_sqrt_spd(cov))
 
 

@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import numerics, sdr
-from .dataset import ObservationalSample
-from .errors import InsufficientDonors, InvalidArgument, InvalidMatrix
+from . import sdr
+from .dataset import ObservationalSample, whitening_fit
+from .errors import InsufficientDonors, InvalidArgument
 from .propensity import fit_logistic, predict_ps
 
 __all__ = [
@@ -178,12 +178,8 @@ def build_metric(scores) -> MahalanobisMetric:
     z = _score_matrix(scores)
     if z.shape[0] < 2:
         raise InvalidArgument("need at least 2 rows to pool a covariance")
-    with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        e = z - z.mean(axis=0)
-        cov = (e.T @ e) * (1.0 / (z.shape[0] - 1))         # np.cov(z, rowvar=False)'s bits
-    if not np.isfinite(cov).all():
-        raise InvalidMatrix("the score covariance is not finite; rescale the scores")
-    return MahalanobisMetric(numerics.inverse_sqrt_spd(cov))
+    fit = whitening_fit(z, "the score covariance is not finite; rescale the scores")
+    return MahalanobisMetric(fit.inv_sqrt_cov)
 
 
 def _squared_distances(diff: np.ndarray, inv: np.ndarray) -> np.ndarray:

@@ -50,6 +50,20 @@ class GaussianMixtureDesign:
         if not 0.0 < self.treat_prob < 1.0:
             raise InvalidArgument(f"treat_prob must be in (0, 1), got {self.treat_prob}")
 
+    def factors(self, t: int) -> tuple[np.ndarray, numerics.EigenDecomposition]:
+        """Arm t's (spd_power(cov_t, 0.5), sym_eigen(cov_t)), cached read-only by value."""
+        cov = np.asarray(self.cov1 if t else self.cov0, dtype=float)
+        return _frozen_factors(cov.tobytes(), cov.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _frozen_factors(data: bytes, shape: tuple) -> tuple[np.ndarray, numerics.EigenDecomposition]:
+    cov = np.frombuffer(data).reshape(shape)
+    root, eig = numerics.spd_power(cov, 0.5), numerics.sym_eigen(cov)
+    for part in (root, *eig):
+        part.flags.writeable = False
+    return root, eig
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows
@@ -145,16 +159,8 @@ def predict_ps(model: LogisticModel, covariates) -> np.ndarray:
     return np.clip(_sigmoid(eta), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
 
 
-@functools.lru_cache(maxsize=16)
-def _frozen_eigen(data: bytes, shape: tuple) -> numerics.EigenDecomposition:
-    """sym_eigen of the float64 matrix with these bytes, shared read-only: keyed by value."""
-    eig = numerics.sym_eigen(np.frombuffer(data).reshape(shape))
-    eig.eigenvalues.flags.writeable = eig.eigenvectors.flags.writeable = False
-    return eig
-
-
-def _log_mvn_density(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    eig = _frozen_eigen(cov.tobytes(), cov.shape)   # a design's covariances are constant
+def _log_mvn_density(x: np.ndarray, mean: np.ndarray,
+                     eig: numerics.EigenDecomposition) -> np.ndarray:
     values = eig.eigenvalues
     if values.min() <= 1e-12 * max(1.0, values.max()):
         raise NotPSD("covariance is singular; density undefined")
@@ -176,6 +182,6 @@ def true_ps_bayes(design: GaussianMixtureDesign, covariates) -> np.ndarray:
     mean1 = np.asarray(design.mean1, dtype=float)
     if x.shape[1] != mean0.shape[0]:
         raise InvalidArgument(f"expected {mean0.shape[0]} columns, got {x.shape[1]}")
-    log1 = np.log(design.treat_prob) + _log_mvn_density(x, mean1, np.asarray(design.cov1, float))
-    log0 = np.log(1.0 - design.treat_prob) + _log_mvn_density(x, mean0, np.asarray(design.cov0, float))
+    log1 = np.log(design.treat_prob) + _log_mvn_density(x, mean1, design.factors(1)[1])
+    log0 = np.log(1.0 - design.treat_prob) + _log_mvn_density(x, mean0, design.factors(0)[1])
     return np.exp(log1 - np.logaddexp(log0, log1))
