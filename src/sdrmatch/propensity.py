@@ -85,9 +85,10 @@ def fit_logistic(covariates, treatment) -> LogisticModel:
     rounding alone can exceed a raw tol; the division removes the units.
     Under separation the gradient also vanishes while the coefficients
     diverge, so the fit additionally stops with converged=False once every
-    fitted probability sits within 10*tol of its label. When 30 halvings of
-    a Newton step all lower the log-likelihood, the fit keeps the current
-    coefficients and stops with converged=False.
+    fitted probability sits within 10*tol of its label. A step may lower the
+    log-likelihood by its rounding, 1e-12 relative; when 30 halvings of a
+    Newton step all lower it further, the fit keeps the current coefficients
+    and stops with converged=False.
 
     Raises:
         DegenerateLabels: treatment contains a single class.
@@ -133,7 +134,7 @@ def fit_logistic(covariates, treatment) -> LogisticModel:
             candidate = beta + scale * step
             cand_eta = design @ candidate
             cand_ll = _log_likelihood(y, cand_eta)
-            if cand_ll >= loglik - 1e-12:
+            if cand_ll >= loglik - 1e-12 * max(1.0, abs(loglik)):
                 break
             scale *= 0.5
         else:

@@ -83,6 +83,20 @@ class TestFitLogistic:
         unit = fit_logistic(z, t)
         assert np.allclose(model.coefficients * 1e6, unit.coefficients, rtol=1e-9)
 
+    def test_line_search_accepts_steps_within_the_log_likelihood_rounding(self):
+        # |loglik| is about 8.5e4 on these 140,000 rows, where one ulp (1.5e-11)
+        # exceeds an absolute slack of 1e-12: rounding alone rejected the last
+        # Newton steps, and the fit took 7-14 iterations instead of 5
+        n, p = 200_000, 10      # a case1-III-like draw; the fit reads its first 140,000 rows
+        rng = np.random.default_rng([11, 5000])
+        lag = np.arange(p)
+        root = np.linalg.cholesky(0.2 ** np.abs(lag[:, None] - lag[None, :]))
+        t = (rng.random(n) < 0.5).astype(np.int64)
+        x = rng.standard_normal((n, p)) @ root.T + np.where(t[:, None] == 1, p ** -0.5, 0.0)
+        model = fit_logistic(x[:140_000], t[:140_000])
+        assert model.converged
+        assert model.iterations <= 6
+
     @pytest.mark.parametrize("scale", [1e154, 1e200])
     def test_overflowing_hessian_raises_typed_error(self, scale):
         # the Hessian sums squared covariates, so from about 1e154 it overflows
