@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdrmatch import cli, sdr, simulation
+from sdrmatch import cli, propensity, sdr, simulation
 from sdrmatch.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -453,6 +453,22 @@ class TestNonConvergenceWarning:
         assert code == 0
         assert captured.err == self.WARNING
         assert "method ps-logistic" in captured.out
+
+    def test_estimate_warns_at_the_iteration_cap(self, tmp_path, capsys, monkeypatch):
+        # no separation: the fit stops unconverged only because of the cap
+        f = tmp_path / "toy.csv"
+        write_toy_csv(f)
+        argv = ["estimate", "--input", str(f), "--treatment", "T", "--outcome", "Y",
+                "--covariates", "a,b,c", "--method", "ps-logistic"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(propensity, "_MAX_ITER", 1)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == self.WARNING
+        assert "method ps-logistic" in captured.out
+        assert "warning" not in captured.out
 
     def test_diagnose_warns_on_stderr_only(self, tmp_path, capsys):
         f = tmp_path / "separated.csv"

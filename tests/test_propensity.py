@@ -97,6 +97,17 @@ class TestFitLogistic:
         assert model.converged
         assert model.iterations <= 6
 
+    def test_iteration_cap_stops_unconverged(self, monkeypatch):
+        # overlapping arms, so the MLE exists; one Newton step from zero does not reach it
+        rng = RngStream(46)
+        x = rng.normal((200, 2))
+        t = (rng.uniform(200) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(int)
+        assert fit_logistic(x, t).converged
+        monkeypatch.setattr(propensity, "_MAX_ITER", 1)
+        model = fit_logistic(x, t)
+        assert model.converged is False
+        assert model.iterations == 1
+
     @pytest.mark.parametrize("scale", [1e154, 1e200])
     def test_overflowing_hessian_raises_typed_error(self, scale):
         # the Hessian sums squared covariates, so from about 1e154 it overflows
