@@ -378,7 +378,8 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
 
     Family 1 draws treatment first, then covariates within each arm; families
     2 and 3 draw covariates, then treatment from the true propensity (the
-    family-1 Bayes functional, or the config's logit model).
+    family-1 Bayes functional, or the config's logit model). A family-3 logit
+    that is not a number, or an outcome that is not finite, raises ConfigError.
     """
     n = spec.n
     if spec.family == "case1":
@@ -396,9 +397,12 @@ def generate(spec: ScenarioSpec, rng: RngStream) -> GeneratedData:
                 raise ConfigError(f"scenario {spec.model}: the treatment logit is not a number; "
                                   "rescale its coefficients")
         t = (rng.uniform(n) < ps).astype(np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):  # ObservationalSample rejects inf, nan
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         eps = rng.normal(n) * spec.noise_sd
         y = _mean_outcome(spec, x, t) + eps
+    if not np.isfinite(y).all():    # only a family-3 config can scale the outcome this far
+        raise ConfigError(f"scenario {spec.model}: the simulated outcome is not finite; "
+                          "rescale the config's outcome")
     return GeneratedData(
         sample=ObservationalSample(covariates=x, treatment=t, outcome=y),
         true_ps=ps,

@@ -278,18 +278,19 @@ class TestCase3Generator:
         ]
 
     def test_overflowing_noise_exits_two_without_a_warning(self, tmp_path, capsys):
-        # noise_sd 1e308 times a normal draw beyond 1.8 overflows; the sample
-        # check rejects the outcome, and no RuntimeWarning comes first
+        # noise_sd 1e308 times a normal draw beyond 1.8 overflows; generate
+        # names the scenario and the outcome, and no RuntimeWarning comes first
         path = tmp_path / "coefficients.json"
         path.write_bytes(_set_outcome("noise_sd", 1e308))
-        with pytest.raises(InvalidArgument, match="covariates and outcomes must be finite"):
+        message = "scenario A: the simulated outcome is not finite; rescale the config's outcome"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             generate(scenario("case3-A", n=100, coefficients=load_case3_config(path)),
                      RngStream(77, 0))
         code = main(["simulate", "--scenario", "case3-A", "--n", "100", "--reps", "2",
                      "--methods", "ambient", "--coef-config", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == "error: covariates and outcomes must be finite\n"
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("terms", [[["quad", 4, 1e308], ["quad", 7, -1e308]],
                                        [["inter", 4, 5, 1e308]]], ids=["opposite", "inf-times-0"])
