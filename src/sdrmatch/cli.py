@@ -199,9 +199,9 @@ def _format_report_text(report, header: str) -> list[str]:
     ]
     for method, res in report.methods.items():
         label = matching.METHODS[method][0]
-        lines.append(
-            f"{label:<32}{res.bias:>12.4f}{res.sd:>12.4f}{res.rmse:>12.4f}"
-            f"{res.failures:>10d}"
+        lines.append(   # one space, then right-aligned in the rest of the header's field
+            f"{label:<32} {res.bias:>11.4f} {res.sd:>11.4f} {res.rmse:>11.4f}"
+            f" {res.failures:>9d}"
         )
     return lines
 

@@ -325,6 +325,26 @@ class TestCase3Generator:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: the ambient summary overflows; rescale the outcome\n"
 
+    def test_text_report_splits_values_wider_than_their_fields(self, tmp_path, capsys):
+        # with treatment_effect -1e160 the bias and RMSE print 145 digits before
+        # the point, wider than their 12-character fields
+        path = tmp_path / "coefficients.json"
+        path.write_bytes(_set_outcome("treatment_effect", -1e160))
+        argv = ["simulate", "--scenario", "case3-A", "--n", "100", "--reps", "3",
+                "--methods", "ambient,sdr", "--coef-config", str(path)]
+        assert main(argv) == 0
+        csv_rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
+        assert main([*argv, "--format", "text"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        text_rows = [row[32:].split() for row in captured.out.splitlines()[3:]]
+        assert [len(row) for row in text_rows] == [4, 4]
+        assert len(text_rows[0][0]) > 12
+        for text, csv in zip(text_rows, csv_rows):
+            np.testing.assert_array_equal([float(v) for v in text[:3]],
+                                          [float(v) for v in csv[1:4]])
+            assert text[3] == csv[6]
+
 
 def _edited_config(edit) -> bytes:
     cfg = json.loads(COEF_CONFIG.read_text(encoding="utf-8"))
