@@ -243,9 +243,8 @@ def _histogram_rows(name: str, values: np.ndarray, treatment: np.ndarray,
     for group, label in ((1, "treated"), (0, "control")):
         subset = values[treatment == group]
         counts, _ = np.histogram(subset, bins=edges)
-        qs = _five_number(subset)
-        for k, stat in enumerate(("min", "q25", "median", "q75", "max")):
-            rows.append(f"{name},{label},quantile,{k},,,{float(qs[k])!r}")
+        for k, q in enumerate(_five_number(subset)):
+            rows.append(f"{name},{label},quantile,{k},,,{float(q)!r}")
         for k in range(bins):
             rows.append(
                 f"{name},{label},bin,{k},{float(edges[k])!r},"
