@@ -163,7 +163,7 @@ def predict_ps(model: LogisticModel, covariates) -> np.ndarray:
 def _log_mvn_density(x: np.ndarray, mean: np.ndarray,
                      eig: numerics.EigenDecomposition) -> np.ndarray:
     values = eig.eigenvalues
-    if values.min() <= 1e-12 * max(1.0, values.max()):
+    if values.min() <= 1e-12 * values.max():
         raise NotPSD("covariance is singular; density undefined")
     centered = x - mean
     proj = centered @ eig.eigenvectors

@@ -236,6 +236,26 @@ class TestTruePsBayes:
         with pytest.raises(NotPSD):
             true_ps_bayes(design, np.zeros((1, 2)))
 
+    def test_covariance_in_small_units_is_not_singular(self):
+        # the singularity test is relative to the largest eigenvalue: the design in units
+        # 1e7 times smaller, covariances 1e-13 I, gives the same probabilities
+        scale = 1e7
+        mean1 = np.array([1.0, -0.5])
+        x = RngStream(46).normal((30, 2)) * np.sqrt(10.0)
+        big = GaussianMixtureDesign(np.zeros(2), mean1, 10.0 * np.eye(2), 10.0 * np.eye(2), 0.4)
+        small = GaussianMixtureDesign(np.zeros(2), mean1 / scale, 1e-13 * np.eye(2),
+                                      1e-13 * np.eye(2), 0.4)
+        np.testing.assert_allclose(true_ps_bayes(small, x / scale), true_ps_bayes(big, x),
+                                   rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("unit", [1e-13, 1.0, 1e13])
+    @pytest.mark.parametrize("smallest", [0.0, 1e-13])
+    def test_singular_covariance_rejected_in_any_units(self, unit, smallest):
+        cov = unit * np.diag([1.0, smallest])
+        design = GaussianMixtureDesign(np.zeros(2), np.zeros(2), np.eye(2), cov, 0.5)
+        with pytest.raises(NotPSD, match="^covariance is singular; density undefined$"):
+            true_ps_bayes(design, np.zeros((1, 2)))
+
     def test_wrong_column_count_rejected(self):
         design = GaussianMixtureDesign(np.zeros(2), np.zeros(2), np.eye(2), np.eye(2), 0.5)
         with pytest.raises(InvalidArgument, match="^expected 2 columns, got 3$"):
