@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, matching, simulation
+from . import __version__, matching
 from .dataset import load_csv
 from .errors import (
     ConfigError,
@@ -37,8 +37,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _five_number(values: np.ndarray):
-    return np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+def _five_number(values: np.ndarray) -> np.ndarray:
+    """np.quantile(values, [0, .25, .5, .75, 1]), op for op as numpy 2.4's 'linear' method."""
+    arr = np.asarray(values).flatten()
+    virtual = (arr.size - 1) * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    lo = [int(v) if v < arr.size - 1 else -1 for v in virtual]
+    hi = [k + 1 if k >= 0 else k for k in lo]
+    arr.partition(sorted({*lo, *hi}))   # numpy passes np.unique(kth), which imports numpy.ma
+    gamma, diff = virtual - lo, arr[hi] - arr[lo]
+    result = np.add(arr[lo], diff * gamma)
+    np.subtract(arr[hi], diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    return np.full(5, arr[-1]) if np.isnan(arr[-1]) else result   # NaN sorts last
 
 
 def _add_data_flags(parser):
@@ -211,6 +220,7 @@ def cmd_simulate(args) -> int:
         raise InvalidArgument(f"--reps must be at least 2, got {args.reps}")
     if args.threads < 1:
         raise InvalidArgument(f"--threads must be >= 1, got {args.threads}")
+    from . import simulation    # on first use: estimate and diagnose never load it
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     coefficients = None
     if args.scenario.startswith("case3"):

@@ -44,7 +44,7 @@ class ObservationalSample:
             raise InvalidArgument("treatment/outcome length must match covariate rows")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise InvalidArgument("covariates and outcomes must be finite")
-        if not np.isin(t, (0, 1)).all():
+        if not ((t == 0) | (t == 1)).all():
             raise InvalidArgument("treatment entries must be 0 or 1")
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "treatment", t.astype(np.int64))
@@ -136,7 +136,8 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
                 except ValueError:
                     for _ in handle:        # decode the rest: a bad byte anywhere outranks
                         pass                # a bad cell, as when the file was read whole
-            if data is None or not (np.isfinite(data).all() and np.isin(data[:, 0], (0, 1)).all()):
+            if data is None or not (np.isfinite(data).all()
+                                    and ((data[:, 0] == 0) | (data[:, 0] == 1)).all()):
                 _read_header(handle)
                 data = _parse_rows(path, handle, names, columns)
     except UnicodeDecodeError as exc:

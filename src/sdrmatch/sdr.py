@@ -102,9 +102,9 @@ def slice_by_quantiles(outcomes, standardized_covariates, n_slices: int) -> Slic
     if n < n_slices:
         raise InvalidArgument(f"group size {n} is smaller than {n_slices} slices")
 
-    y_sorted = np.sort(y)
-    idx = [math.ceil(j * n / n_slices) for j in range(1, n_slices + 1)]
-    boundaries = np.unique(y_sorted[np.asarray(idx) - 1])
+    cuts = np.sort(y)[[math.ceil(j * n / n_slices) - 1 for j in range(1, n_slices + 1)]]
+    # as np.unique (which imports numpy.ma): each distinct cut once, the NaNs merged into one
+    boundaries = cuts[np.concatenate(([True], (cuts[1:] != cuts[:-1]) & ~np.isnan(cuts[:-1])))]
     if boundaries.shape[0] < 2:
         raise SliceError(f"outcome ties leave {boundaries.shape[0]} usable slice(s)")
 

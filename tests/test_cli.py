@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdrmatch import cli, propensity, sdr, simulation
 from sdrmatch.cli import main
@@ -176,17 +177,15 @@ class TestSimulate:
         assert files[0] == files[1]
 
     def test_default_threads_is_one_whatever_the_cpus(self, monkeypatch, capsys):
-        from sdrmatch import cli
-
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         seen = []
-        real = cli.simulation.run_monte_carlo
+        real = simulation.run_monte_carlo
 
         def spy(*args, **kwargs):
             seen.append(kwargs["threads"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli.simulation, "run_monte_carlo", spy)
+        monkeypatch.setattr(simulation, "run_monte_carlo", spy)
         code = main(["simulate", "--scenario", "case1-I", "--n", "60", "--reps", "2",
                      "--methods", "ambient"])
         capsys.readouterr()
@@ -202,6 +201,41 @@ class TestSimulate:
         assert code == 0
         assert "Estimated PS (logistic)" in out
         assert "Ambient (original covariates)" in out
+
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0)
+
+
+@st.composite
+def quantile_inputs(draw):
+    """1 to 2,000 values, 1-D or 2-D, drawn from a few distinct ones (so with ties)
+    among ±0.0, subnormals, ±1e300 and any finite float; as drawn, sorted or reversed."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(EDGE_VALUES),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=1, max_size=8))
+    shape = draw(st.one_of(st.tuples(st.integers(1, 2000)),
+                           st.tuples(st.integers(1, 40), st.integers(1, 50))))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).choice(np.asarray(pool, dtype=float), size=shape)
+    order = draw(st.sampled_from(("as drawn", "sorted", "reversed")))
+    if order != "as drawn":
+        values = np.sort(values, axis=None).reshape(shape)
+    return values[::-1].copy() if order == "reversed" else values
+
+
+class TestFiveNumber:
+    """cli._five_number is np.quantile at [0, .25, .5, .75, 1], bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(quantile_inputs())
+    def test_equals_np_quantile_bit_for_bit(self, values):
+        before = values.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # ±1e300 spans overflow in both
+            expected = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+            got = cli._five_number(values)
+        assert got.dtype == expected.dtype and got.shape == expected.shape == (5,)
+        assert got.tobytes() == expected.tobytes(), (got, expected)
+        assert values.tobytes() == before.tobytes()    # the input is left as it was
 
 
 class TestOneParser:
@@ -714,14 +748,65 @@ assert not scipy_modules(), ("simulate --threads 2", scipy_modules())
 """
 
 
+# Each run goes through `python -m sdrmatch`'s entry point, all in one fresh interpreter.
+_STARTUP_FOOTPRINT = """
+import contextlib, io, runpy, sys
+from sdrmatch import cli    # as a library user would, before any run
+
+data = ["--input", {lalonde!r}, "--treatment", "treat", "--outcome", "re78",
+        "--covariates", {covariates!r}]
+for argv in (["estimate", *data, "--method", "ambient"],
+             ["estimate", *data, "--method", "ps-logistic"],
+             ["estimate", *data, "--method", "sdr", "--estimand", "ace", "--m", "3"],
+             ["estimate", *data, "--method", "sdr", "--estimand", "acet"],
+             ["diagnose", *data]):
+    sys.argv = ["sdrmatch", *argv]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_module("sdrmatch", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+    else:
+        raise AssertionError(("no exit code", argv))
+loaded = sorted({{"numpy.ma", "sdrmatch.simulation"}} & set(sys.modules))
+assert not loaded, loaded
+"""
+
+# simulation still loads on first use, in the same kind of process
+_SIMULATION_ON_FIRST_USE = """
+import contextlib, io, sys
+import sdrmatch, sdrmatch.cli
+
+assert "sdrmatch.simulation" not in sys.modules
+report = sdrmatch.run_monte_carlo(sdrmatch.scenario("case1-I", n=60, methods=("ambient",)), 2)
+assert report.reps == 2 and sdrmatch.simulation.run_monte_carlo is sdrmatch.run_monte_carlo
+namespace = {{}}
+exec("from sdrmatch import *", namespace)
+assert namespace["run_monte_carlo"] is sdrmatch.run_monte_carlo
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = sdrmatch.cli.main(["simulate", "--scenario", "case1-I", "--n", "60", "--reps", "2",
+                              "--methods", "ambient"])
+assert code == 0 and out.getvalue().splitlines()[1] == "method,bias,sd,rmse,truth,reps,failures"
+"""
+
+
 class TestImportFootprint:
-    def test_no_subcommand_loads_scipy(self):
+    @staticmethod
+    def run_fresh(script):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
         )
-        script = _SCIPY_FOOTPRINT.format(lalonde=str(LALONDE),
-                                         covariates=LALONDE_COVARIATES)
+        script = script.format(lalonde=str(LALONDE), covariates=LALONDE_COVARIATES)
         result = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
+
+    def test_no_subcommand_loads_scipy(self):
+        self.run_fresh(_SCIPY_FOOTPRINT)
+
+    def test_estimate_and_diagnose_load_neither_numpy_ma_nor_simulation(self):
+        self.run_fresh(_STARTUP_FOOTPRINT)
+
+    def test_simulation_loads_on_first_use(self):
+        self.run_fresh(_SIMULATION_ON_FIRST_USE)

@@ -1,7 +1,10 @@
 import dataclasses
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdrmatch.dataset import ObservationalSample
 from sdrmatch.errors import InsufficientData, InvalidArgument, SliceError
@@ -20,6 +23,17 @@ from sdrmatch.simulation import generate, scenario
 
 def make_sample(x, t, y):
     return ObservationalSample(np.asarray(x, float), np.asarray(t), np.asarray(y, float))
+
+
+def unique_slices(y, z, n_slices):
+    """slice_by_quantiles as written with np.unique: (boundaries, sizes, means)."""
+    n = y.shape[0]
+    idx = np.asarray([math.ceil(j * n / n_slices) for j in range(1, n_slices + 1)])
+    boundaries = np.unique(np.sort(y)[idx - 1])
+    assignment = np.searchsorted(boundaries, y, side="left")
+    sizes = np.bincount(assignment, minlength=boundaries.shape[0])
+    means = np.array([z[assignment == j].mean(axis=0) for j in range(boundaries.shape[0])])
+    return boundaries, sizes, means
 
 
 class TestSlicing:
@@ -56,6 +70,36 @@ class TestSlicing:
         sliced = slice_by_quantiles(y, z, 5)
         assert 2 <= sliced.slice_sizes.size <= 5
         assert sliced.slice_sizes.sum() == 10
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.5, -3.0, 1e300]),
+                    min_size=2, max_size=60),
+           st.integers(2, 12))
+    def test_boundaries_are_np_unique_of_the_cuts(self, values, n_slices):
+        # tie-heavy outcomes: the neighbour mask over the sorted cuts keeps the
+        # slices np.unique's distinct boundaries gave
+        y = np.asarray(values)
+        z = np.arange(2.0 * y.size).reshape(-1, 2)
+        if y.size < n_slices:
+            return
+        boundaries, sizes, means = unique_slices(y, z, n_slices)
+        if boundaries.size < 2:
+            with pytest.raises(SliceError, match=f"leave {boundaries.size} usable"):
+                slice_by_quantiles(y, z, n_slices)
+            return
+        sliced = slice_by_quantiles(y, z, n_slices)
+        assert np.array_equal(sliced.slice_sizes, sizes)
+        assert sliced.slice_means.tobytes() == means.tobytes()
+
+    def test_nan_cuts_merge_into_one_boundary_as_np_unique_merges_them(self):
+        y = np.array([2.0, np.nan, 1.0, np.nan, 3.0, np.nan, 0.0, np.nan, np.nan, 4.0])
+        z = np.arange(10.0).reshape(-1, 1)
+        with np.errstate(invalid="ignore"):
+            boundaries, sizes, means = unique_slices(y, z, 5)
+            sliced = slice_by_quantiles(y, z, 5)
+        assert boundaries.size == 3 and np.isnan(boundaries[-1])   # three NaN cuts
+        assert np.array_equal(sliced.slice_sizes, sizes)
+        assert sliced.slice_means.tobytes() == means.tobytes()
 
     def test_sizes_cover_group(self):
         rng = RngStream(21)
@@ -168,6 +212,27 @@ class TestRankTestSize:
 
     def test_size_with_continuous_outcomes(self):
         assert 0.02 <= self.rejection_rate(0.0) <= 0.08
+
+
+class TestRankOneTestSize:
+    """Under y = x_1 + 0.5 e with normal X, the true rank is 1 and the rank test
+    rejects rank 1 at about alpha (Li 1991's chi-square holds at d >= 1 for normal X)."""
+
+    @staticmethod
+    def rejection_rate(n, reps=1000, p=10, alpha=0.05):
+        rejections = 0
+        for rep in range(reps):
+            rng = RngStream(2025, rep)
+            x = rng.normal((n, p))
+            y = x[:, 0] + 0.5 * rng.normal(n)
+            sample = make_sample(x, np.zeros(n, dtype=int), y)
+            est = estimate_central_subspace(sample, 0, n_slices=5, alpha=alpha)
+            rejections += est.test_pvalues[1] <= alpha
+        return rejections / reps
+
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_size_with_continuous_outcomes(self, n):
+        assert 0.02 <= self.rejection_rate(n) <= 0.08
 
 
 class TestEstimateCentralSubspace:
