@@ -237,6 +237,11 @@ class TestFiveNumber:
         assert got.tobytes() == expected.tobytes(), (got, expected)
         assert values.tobytes() == before.tobytes()    # the input is left as it was
 
+    def test_nan_makes_every_quantile_nan_as_in_numpy(self):
+        values = np.array([3.0, np.nan, 1.0, 2.0])
+        expected = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert cli._five_number(values).tobytes() == expected.tobytes()
+
 
 class TestOneParser:
     """main builds its parser on first use and reuses it; no output byte changes."""
