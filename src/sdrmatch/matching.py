@@ -234,16 +234,17 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
       Time is O(d log d + q (m log m + log d)) when scores rarely tie in d2.
 
     Filter blocks of at most max(2^18, d) pairs, 2^19 for a float32 product
-    (2 MiB either way), share a buffer made once per call, and are re-ranked
-    together while their pairs' k columns fit 2 MiB; a window block holds at
-    most max(2^18, d + 2) entries. Memory is O((max(2^19, d) + q + d) k) floats.
+    (2 MiB either way), share a buffer freed before the last re-rank; their
+    pairs are re-ranked together while 2k + 6 values per pair fit 2 MiB. A
+    window block holds at most max(2^18, d + 2) entries. The scores are read
+    in place: memory is a block, a re-rank and O((q + d)(k + 1)) floats.
 
     Raises:
         InvalidArgument: scores not n x k, unknown direction, n_matches < 1,
             scores and treatment of different lengths, a treatment entry
-            other than 0 or 1, a whitening map that is not k x k, k > 4,502,
-            no subjects to match, NaN/inf in the scores or the metric, or a
-            picked squared distance that overflows.
+            other than 0 or 1, a whitening map that is not k x k, k = 0 or
+            k > 4,502, no subjects to match, NaN/inf in the scores or the
+            metric, or a picked squared distance that overflows.
         InsufficientDonors: donor group smaller than n_matches.
     """
     z = _score_matrix(scores)
@@ -262,8 +263,9 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
         raise InvalidArgument(
             f"whitening map has shape {w.shape}, scores have {z.shape[1]} columns"
         )
-    if z.shape[1] > 4502:   # the most the filter's rounding bound covers
-        raise InvalidArgument(f"at most 4502 score columns can be matched, got {z.shape[1]}")
+    if not 0 < z.shape[1] <= 4502:   # the most the filter's rounding bound covers
+        raise InvalidArgument(f"at most 4502 score columns can be matched, got {z.shape[1]}"
+                              if z.shape[1] else "scores have no columns")
     if not np.isfinite(z).all():
         raise InvalidArgument("scores contain NaN or inf")
     # for k = 1, the property's 0.5 (W W' + (W W')') without forming W W'
@@ -287,23 +289,25 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     # Two can be identical only if a stable sort on the first column (the k = 1
     # window's order) has equal neighbours. Then a stable lexicographic sort puts
     # them in runs in index order; keep each run's first m.
-    zq, zd = z[queries], z[donors]
-    kept = np.argsort(zd[:, 0], kind="stable")
-    if (np.diff(zd[kept, 0]) == 0.0).any():    # finite: a - b == 0 iff a == b, -0.0 == 0.0
-        kept = np.lexsort(zd.T[::-1])       # the first column is the primary key
-        key, pos, run = zd[kept], np.arange(kept.size), np.ones(kept.size, dtype=bool)
-        run[1:] = (key[1:] != key[:-1]).any(axis=1)         # True where a run starts
+    kept = np.argsort(z[donors, 0], kind="stable")
+    if (np.diff(z[donors[kept], 0]) == 0.0).any():  # finite: a - b == 0 iff a == b, -0.0 == 0.0
+        kept = np.lexsort(z[donors].T[::-1])        # the first column is the primary key
+        pos, run = np.arange(kept.size), np.ones(kept.size, dtype=bool)
+        run[1:] = (np.diff(z[donors[kept]], axis=0) != 0.0).any(axis=1)  # True where a run starts
         kept = kept[pos - np.maximum.accumulate(pos * run) < n_matches]
-    donors, zd = donors[kept], zd[kept]
+    donors = donors[kept]
     if z.shape[1] == 1:
-        xp = np.concatenate(([-np.inf], zd[:, 0], [np.inf]))
-        picked, d2_picked = _window_pick(zq[:, 0], xp, inv[0, 0], donors, n_matches, n_matches)
+        xq, xp = z[queries, 0], np.concatenate(([-np.inf], z[donors, 0], [np.inf]))
+        picked, d2_picked = _window_pick(xq, xp, inv[0, 0], donors, n_matches, n_matches)
     else:
         picked = np.empty((queries.size, n_matches), dtype=np.int64)
         d2_picked = np.empty((queries.size, n_matches))
-        for at, row, col in _filter_candidates(zq, zd, w, n_matches):
-            d2 = _squared_distances((zq[at][row] - zd[col]).T.copy(), inv)
+        for at, row, col in _filter_candidates(z, queries, donors, w, n_matches):
             col = donors[col]                   # ties break by sample index
+            diff = z[queries[at][row]].T.copy()     # (k, P): the pairs' z_a - z_b
+            diff -= z[col].T
+            d2 = _squared_distances(diff, inv)
+            del diff                            # not held beside the next batch
             # lexsort groups pairs by row, so row j's run starts at sum(counts[:j])
             order = np.lexsort((col, d2, row))
             counts = np.bincount(row)         # every row has m or more
@@ -320,10 +324,10 @@ def find_matches(scores, treatment, metric: MahalanobisMetric, n_matches: int,
     )
 
 
-def _filter_candidates(zq, zd, w, n_matches):
-    """Yield (at, row, col) blocks: rows zq[at][row] paired with the donors
-    zd[col], holding every pair that a whitened bound cannot rule out
-    of a query's canonical first n_matches."""
+def _filter_candidates(z, queries, donors, w, n_matches):
+    """Yield (at, row, col) blocks: the queries queries[at][row] paired with
+    the donors donors[col], holding every pair that a whitened bound cannot
+    rule out of a query's canonical first n_matches."""
     # Filter bound. Let inv be the computed W W' that the canonical value D
     # reads, c the donor mean, e = z - c, w = e W, diff = z_a - z_b, S = |e_a|^2
     # + |e_b|^2 (so |diff|^2 <= 2S), L = |W|_F^2 (at least the norm of |W||W|',
@@ -356,35 +360,39 @@ def _filter_candidates(zq, zd, w, n_matches):
     # after a rescale; the floor (k+1)^3 (s (1 + max|e| + max|w|))^2, s = 2^-535
     # (2^-70), added to each tol_x covers this. Float32 needs its floor under
     # 2^-30 max|w|^2. A D that overflows unscaled is not bounded: a pick raises.
-    k, n_donors = zq.shape[1], zd.shape[0]
-    for rescaled in (False, True):      # at most one rescale
-        centre = zd.mean(axis=0)
-        eq, ed = zq - centre, zd - centre
-        eq2, ed2 = np.einsum("ij,ij->i", eq, eq), np.einsum("ij,ij->i", ed, ed)
+    k, n_queries, n_donors = z.shape[1], queries.size, donors.size
+    def whiten(arm, out, scale):    # one group's factor rows: scale e W, e = z[arm] - centre
+        e = z[arm] - centre
+        v = e @ w
+        np.multiply(v, scale, out=out)                  # rounded from float64
+        return np.einsum("ij,ij->i", e, e), np.einsum("ij,ij->i", v, v)
+    dtype, c_w, s = (np.float32, 1e-5, -70) if k < 1000 else (np.float64, _ROUNDING, -535)
+    for retry in range(3):      # at most one rescale, then float64 if float32's floor is coarse
+        centre = z[donors].mean(axis=0)
+        wq, wd = np.ones((n_queries, k + 1), dtype), np.empty((k + 1, n_donors), dtype)
+        (eq2, wq2), (ed2, nd) = whiten(queries, wq[:, :k], -2.0), whiten(donors, wd[:k].T, 1.0)
         big_l = np.einsum("ij,ij->", w, w)
-        e2_max = max(eq2.max(), ed2.max())
-        if rescaled or (k + 1) ** 2 * big_l * e2_max < 2.0 ** 100:
+        e2_max, w2_max = max(eq2.max(), ed2.max()), max(wq2.max(), nd.max())
+        spread = (k + 1) ** 1.5 * (1.0 + np.sqrt(e2_max) + np.sqrt(w2_max))
+        if retry == 0 and not (k + 1) ** 2 * big_l * e2_max < 2.0 ** 100:
+            room = 49 - np.frexp((k + 1) * k ** 1.5)[1]
+            shift = max(0, np.frexp(np.abs(z).max())[1] - room)  # each row: query or donor
+            w = np.ldexp(w, -max(0, np.frexp(np.abs(w).max())[1]))
+            z = np.ldexp(z, -shift)
+        elif dtype == np.float32 and not spread ** 2 < 2.0 ** 110 * w2_max:
+            dtype, c_w, s = np.float64, _ROUNDING, -535
+        else:
             break
-        room = 49 - np.frexp((k + 1) * k ** 1.5)[1]
-        shift = max(0, np.frexp(max(np.abs(zq).max(), np.abs(zd).max()))[1] - room)
-        w = np.ldexp(w, -max(0, np.frexp(np.abs(w).max())[1]))
-        zq, zd = np.ldexp(zq, -shift), np.ldexp(zd, -shift)
-    wq, wd = eq @ w, ed @ w
-    wq2, nd = np.einsum("ij,ij->i", wq, wq), np.einsum("ij,ij->i", wd, wd)
-    w2_max = max(wq2.max(), nd.max())
-    spread = (k + 1) ** 1.5 * (1.0 + np.sqrt(e2_max) + np.sqrt(w2_max))
-    dtype, c_w, s = ((np.float32, 1e-5, -70) if k < 1000 and spread ** 2 < 2.0 ** 110 * w2_max
-                     else (np.float64, _ROUNDING, -535))
     floor, per_w, per_e = (2.0 ** s * spread) ** 2, c_w * (k + 1), _ROUNDING * (k + 1) * big_l
     tol_q = per_w * wq2 + per_e * eq2 + floor
     tol_d = per_w * nd + per_e * ed2 + floor
-    wq = np.column_stack([-2.0 * wq, np.ones(zq.shape[0])]).astype(dtype)
-    wd = np.vstack([wd.T, nd - tol_d]).astype(dtype)
+    wd[k] = nd - tol_d
+    del eq2, ed2, wq2, nd, z
     step = max(1, _BLOCK_BYTES // wq.itemsize // n_donors)
-    buf = np.empty((min(step, zq.shape[0]), n_donors), dtype)  # reused by every block
+    buf = np.empty((min(step, n_queries), n_donors), dtype)  # reused by every block
     rows, cols, start = [], [], 0   # consecutive blocks' pairs, re-ranked together
-    for lo in range(0, zq.shape[0], step):
-        hi = min(lo + step, zq.shape[0])
+    for lo in range(0, n_queries, step):
+        hi = min(lo + step, n_queries)
         lower, r = np.dot(wq[lo:hi], wd, out=buf[:hi - lo]), np.arange(hi - lo)
         first, low = [], []
         for _ in range(n_matches):      # m argmins beat an argpartition for small m
@@ -397,9 +405,12 @@ def _filter_candidates(zq, zd, w, n_matches):
         row, col = np.nonzero(lower[more] <= cut[more, None])
         rows += [np.repeat(r + (lo - start), n_matches), more[row] + (lo - start)]
         cols += [np.ravel(first, order="F"), col]
-        if hi == zq.shape[0] or sum(map(len, cols)) * k >= _BLOCK_BYTES // 8:
+        # a re-rank holds 2k + 6 values per pair: 2k + 1 rows of differences and sums, 5 others
+        if hi < n_queries and sum(map(len, cols)) * (2 * k + 6) >= _BLOCK_BYTES // 8:
             yield slice(start, hi), np.concatenate(rows), np.concatenate(cols)
             rows, cols, start = [], [], hi
+    del buf, lower, wq, wd, tol_q, tol_d    # the last re-rank runs without them
+    yield slice(start, n_queries), np.concatenate(rows), np.concatenate(cols)
 
 
 def _window_pick(xq, xp, c, donors, m, width):

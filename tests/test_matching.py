@@ -227,6 +227,14 @@ class TestFindMatches:
             with pytest.raises(InvalidArgument):
                 find_matches(z, t, MahalanobisMetric(w), 1, FOR_TREATED)
 
+    def test_zero_score_columns_raise(self):
+        # an n x 0 score matrix with its 0 x 0 whitening map passes the shape
+        # checks; it has no column to match on
+        z, t = np.empty((6, 0)), np.array([1, 0, 0, 1, 0, 0])
+        for direction in (FOR_TREATED, FOR_CONTROL):
+            with pytest.raises(InvalidArgument, match=r"^scores have no columns$"):
+                find_matches(z, t, MahalanobisMetric(np.empty((0, 0))), 1, direction)
+
     @pytest.mark.parametrize("w", [1.0, -3e-170, 2.0 ** -537, 1.3e154, np.nan, np.inf])
     def test_one_column_metric_forms_no_product(self, monkeypatch, w):
         # k = 1 reads c = w^2, which has the bits of W W' (a subnormal at
@@ -309,6 +317,23 @@ class TestFindMatches:
             _, expected = brute_force_matches(z, t, metric.inverse_covariance, 2, FOR_TREATED)
             assert expected == [first]
 
+    @pytest.mark.parametrize("seed, m", [(64, 1), (76, 3)])
+    def test_k_columns_search_holds_one_copy_of_the_scores(self, seed, m):
+        """The k >= 2 search's traced peak at n = 20,000, k = 10 (q + d = n) is
+        under 2 MiB of block buffer, plus a re-rank budget of 2 MiB (one block's
+        pairs past it are a few hundred here), plus 16 (q + d)(k + 1) bytes:
+        the float32 product factors (4 per entry), one group's float64 centred
+        and whitened rows while the factors are filled (at most 8 per entry),
+        and the per-row tolerances, indices and results. That is 4 MiB +
+        3.52 MB, about 7.4 MiB; copies of the scores beside the block buffer,
+        or a last re-rank beside it, exceed it."""
+        rng = RngStream(seed)
+        n, k = 20_000, 10
+        z = rng.normal((n, k))
+        t = (rng.uniform(n) < 0.5).astype(int)
+        bound = 2 * matching._BLOCK_BYTES + 16 * n * (k + 1)
+        assert TestExactness.traced_peak(z, t, m) < bound
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_donors_equal_by_value_collapse_for_every_k(self, monkeypatch, m):
         # four k = 2 donors differ only in the sign of a zero: d2's sum starts
@@ -317,9 +342,9 @@ class TestFindMatches:
         # first m of each distinct-by-value row reach the filter
         filter_candidates, seen = matching._filter_candidates, []
 
-        def recording(zq, zd, w, n_matches):
-            seen.append(zd.shape[0])
-            return filter_candidates(zq, zd, w, n_matches)
+        def recording(z, queries, donors, w, n_matches):
+            seen.append(donors.size)
+            return filter_candidates(z, queries, donors, w, n_matches)
 
         monkeypatch.setattr(matching, "_filter_candidates", recording)
         z = np.array([[0.0, 0.0], [1.0, 2.0], [-0.0, 0.0], [1.0, -1.0], [0.0, -0.0],
@@ -1134,8 +1159,8 @@ class TestExactness:
 
     def test_filter_blocks_re_ranked_together(self, monkeypatch):
         # n = 5,000, k = 10: a dozen filter products per direction, one re-rank;
-        # a smaller budget flushes once the pairs' k columns fill it, and the
-        # matches keep their bits
+        # a smaller budget flushes once the pairs' 2k + 6 re-rank values fill
+        # it, and the matches keep their bits
         rng = RngStream(82)
         n = 5_000
         z = rng.normal((n, 10))
@@ -1149,8 +1174,8 @@ class TestExactness:
         products.clear()
         seen.clear()
         parts = find_matches(z, t, metric, 2, FOR_TREATED)
-        assert len(products) > 100 and 2 <= len(seen) < 10
-        assert all(size * 10 * 8 >= 1 << 16 for size in seen[:-1])
+        assert len(products) > 100 and 2 <= len(seen) < 25
+        assert all(size * (2 * 10 + 6) * 8 >= 1 << 16 for size in seen[:-1])
         assert np.array_equal(parts.donor_indices, whole.donor_indices)
         assert np.array_equal(parts.distances, whole.distances)
 
