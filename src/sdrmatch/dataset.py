@@ -27,6 +27,8 @@ __all__ = [
 class ObservationalSample:
     """Covariate matrix X (n x p), binary treatment T, and observed outcome Y(T).
 
+    Stores C-contiguous float64 covariates and outcome and int64 treatment,
+    whatever its caller passes, so results do not depend on memory layout.
     Immutable after construction; safe to share across threads.
     """
 
@@ -35,9 +37,9 @@ class ObservationalSample:
     outcome: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.covariates, dtype=float)
+        x = np.asarray(self.covariates, dtype=float, order="C")
         t = np.asarray(self.treatment)
-        y = np.asarray(self.outcome, dtype=float)
+        y = np.asarray(self.outcome, dtype=float, order="C")
         if x.ndim != 2:
             raise InvalidArgument(f"covariates must be 2-D, got ndim={x.ndim}")
         if t.shape != (x.shape[0],) or y.shape != (x.shape[0],):
@@ -91,10 +93,12 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
     """Read an observational sample from a headered, comma-separated file.
 
     The data lines stream from the file, about 64 KiB at a time, into one
-    vectorised pass over the referenced columns. When that pass fails, or
-    yields a non-finite value or a treatment outside {0, 1}, the file is read
-    again and parsed row by row: that loop defines which input is valid, names
-    the bad cell, and also accepts what ``float`` reads but numpy does not.
+    vectorised pass over the referenced columns, whose array goes to
+    ObservationalSample as it is: the record lays it out and checks it. When
+    that pass fails, or the record rejects a non-finite value or a treatment
+    outside {0, 1}, the file is read again and parsed row by row: that loop
+    defines which input is valid, names the bad cell, and also accepts what
+    ``float`` reads but numpy does not.
 
     Args:
         path: CSV file with a header row; UTF-8 with or without a byte-order
@@ -126,29 +130,23 @@ def load_csv(path, treatment: str, outcome: str, covariates: Sequence[str]) -> O
             peeked = [next(lines, "")]      # up to the first non-blank line: with
             while peeked[-1] and not peeked[-1].strip():    # none, loadtxt warns "no data"
                 peeked.append(next(lines, ""))
-            data = None
             if peeked[-1]:
                 try:
                     data = np.loadtxt(itertools.chain(peeked, lines), dtype=float, delimiter=",",
                                       quotechar='"', comments=None, usecols=columns, ndmin=2)
+                    return ObservationalSample(data[:, 2:], data[:, 0], data[:, 1])
                 except UnicodeDecodeError:
                     raise
-                except ValueError:
+                except (ValueError, InvalidArgument):
                     for _ in handle:        # decode the rest: a bad byte anywhere outranks
                         pass                # a bad cell, as when the file was read whole
-            if data is None or not (np.isfinite(data).all()
-                                    and ((data[:, 0] == 0) | (data[:, 0] == 1)).all()):
-                _read_header(handle)
-                data = _parse_rows(path, handle, names, columns)
+            _read_header(handle)
+            data = _parse_rows(path, handle, names, columns)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return ObservationalSample(
-        covariates=np.ascontiguousarray(data[:, 2:]),
-        treatment=data[:, 0].astype(np.int64),
-        outcome=np.ascontiguousarray(data[:, 1]),
-    )
+    return ObservationalSample(data[:, 2:], data[:, 0], data[:, 1])
 
 
 def _read_header(handle) -> list[str] | None:

@@ -161,7 +161,7 @@ class CausalEstimate:
 
 
 def _score_matrix(scores) -> np.ndarray:
-    z = np.asarray(scores, dtype=float)
+    z = np.asarray(scores, dtype=float, order="C")
     if z.ndim != 2:
         raise InvalidArgument(f"scores must be n x k, such as ps[:, None]; got shape {z.shape}")
     return z

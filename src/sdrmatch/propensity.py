@@ -94,7 +94,7 @@ def fit_logistic(covariates, treatment) -> LogisticModel:
         DegenerateLabels: treatment contains a single class.
         InvalidMatrix: the gradient or Hessian is not finite (covariates too large to square).
     """
-    x = np.atleast_2d(np.asarray(covariates, dtype=float))
+    x = np.atleast_2d(np.asarray(covariates, dtype=float, order="C"))
     y = np.asarray(treatment, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise InvalidArgument("covariates and treatment must align")
@@ -151,7 +151,7 @@ def fit_logistic(covariates, treatment) -> LogisticModel:
 
 def predict_ps(model: LogisticModel, covariates) -> np.ndarray:
     """Fitted treatment probabilities, clamped away from 0 and 1."""
-    x = np.atleast_2d(np.asarray(covariates, dtype=float))
+    x = np.atleast_2d(np.asarray(covariates, dtype=float, order="C"))
     if x.shape[1] != model.coefficients.shape[0]:
         raise InvalidArgument(
             f"expected {model.coefficients.shape[0]} columns, got {x.shape[1]}"

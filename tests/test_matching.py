@@ -22,6 +22,7 @@ from sdrmatch.matching import (
     impute,
 )
 from sdrmatch.numerics import RngStream, inverse_sqrt_spd
+from sdrmatch.propensity import fit_logistic, predict_ps
 from sdrmatch.simulation import generate, scenario
 
 LALONDE = Path(__file__).resolve().parents[1] / "data" / "lalonde_cps3_synthetic.csv"
@@ -130,14 +131,15 @@ class TestBuildMetric:
         assert str(info.value) == "scores must be n x k, such as ps[:, None]; got shape (40,)"
 
     def test_covariance_bits_equal_np_cov(self):
-        # the pooled covariance is np.cov's arithmetic written out, so the
-        # whitening map keeps its bits for C, Fortran and strided scores
+        # the pooled covariance is np.cov's arithmetic written out on a
+        # C-contiguous copy of the scores, so the whitening map keeps np.cov's
+        # bits of that copy for C, Fortran and strided scores
         rng = RngStream(52)
         x = np.round(np.exp(rng.normal((300, 10)) + 9.0), 2)
         ps = rng.uniform(300)
         for z in (x, np.asfortranarray(x), x[:, ::3], x[:, 4:5], ps[:, None],
                   rng.normal((2, 3)), 1e6 + rng.normal((41, 2))):
-            cov = np.atleast_2d(np.cov(z, rowvar=False, ddof=1))
+            cov = np.atleast_2d(np.cov(np.ascontiguousarray(z), rowvar=False, ddof=1))
             expected = inverse_sqrt_spd(cov)
             assert np.array_equal(build_metric(z).whitening, expected)
 
@@ -1520,6 +1522,49 @@ class TestPipelineAndInvariants:
         treated = data.sample.treatment == 1
         assert np.isfinite(est.imputed[treated]).all()
         assert np.isnan(est.imputed[~treated]).all()
+
+    def test_estimate_bits_do_not_depend_on_memory_layout(self):
+        # the record stores C-contiguous covariates and outcome, so a sample
+        # passed in Fortran order gives the C-order sample's bits
+        sample = TestExactness.shipped_sample()
+        x, t, y = sample.covariates, sample.treatment, sample.outcome
+        fortran = ObservationalSample(np.asfortranarray(x), t, np.stack([y, y], axis=1)[:, 0])
+        assert fortran.covariates.flags.c_contiguous and fortran.outcome.flags.c_contiguous
+        for method in ("ambient", "ps-logistic", "sdr"):
+            for estimand in ("ace", "acet"):
+                base, other = (estimate(s, balancing_score(method, s, estimand=estimand,
+                                                           n_slices=5, alpha=0.05), estimand)
+                               for s in (sample, fortran))
+                assert other.value == base.value, (method, estimand)
+                assert np.array_equal(other.imputed, base.imputed, equal_nan=True)
+                assert len(other.matches) == len(base.matches)
+                for mine, theirs in zip(other.matches, base.matches):
+                    assert np.array_equal(mine.donor_indices, theirs.donor_indices)
+                    assert np.array_equal(mine.distances, theirs.distances), (method, estimand)
+
+    def test_score_intakes_do_not_depend_on_memory_layout(self):
+        # build_metric, find_matches, fit_logistic and predict_ps read a
+        # C-contiguous copy of what they are given: the same values give the
+        # same bits in any memory layout
+        sample = TestExactness.shipped_sample()
+        x, t = sample.covariates, sample.treatment
+        metric = build_metric(x)
+        matched = find_matches(x, t, metric, 2, FOR_TREATED)
+        model = fit_logistic(x, t)
+        ps = predict_ps(model, x)
+        wide = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
+        wide[::2, 1::3] = x
+        for other in (np.asfortranarray(x), wide[::2, 1::3]):   # the last strided on both axes
+            assert np.array_equal(other, x)
+            assert np.array_equal(build_metric(other).whitening, metric.whitening)
+            again = find_matches(other, t, metric, 2, FOR_TREATED)
+            assert np.array_equal(again.donor_indices, matched.donor_indices)
+            assert np.array_equal(again.distances, matched.distances)
+            fitted = fit_logistic(other, t)
+            assert np.array_equal(fitted.coefficients, model.coefficients)
+            assert (fitted.intercept, fitted.converged, fitted.iterations) == (
+                model.intercept, model.converged, model.iterations)
+            assert np.array_equal(predict_ps(model, other), ps)
 
 
 class TestBalancingScoreRegistry:

@@ -219,12 +219,14 @@ class TestRankOneTestSize:
     rejects rank 1 at about alpha (Li 1991's chi-square holds at d >= 1 for normal X)."""
 
     @staticmethod
-    def rejection_rate(n, reps=1000, p=10, alpha=0.05):
+    def rejection_rate(n, seed, tied_share=0.0, reps=1000, p=10, alpha=0.05):
         rejections = 0
         for rep in range(reps):
-            rng = RngStream(2025, rep)
+            rng = RngStream(seed, rep)
             x = rng.normal((n, p))
             y = x[:, 0] + 0.5 * rng.normal(n)
+            if tied_share:
+                y = np.where(rng.uniform(n) < tied_share, 0.0, y)
             sample = make_sample(x, np.zeros(n, dtype=int), y)
             est = estimate_central_subspace(sample, 0, n_slices=5, alpha=alpha)
             rejections += est.test_pvalues[1] <= alpha
@@ -232,7 +234,17 @@ class TestRankOneTestSize:
 
     @pytest.mark.parametrize("n", [250, 1000])
     def test_size_with_continuous_outcomes(self, n):
-        assert 0.02 <= self.rejection_rate(n) <= 0.08
+        assert 0.02 <= self.rejection_rate(n, 2025) <= 0.08
+
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_size_with_tied_outcomes(self, n):
+        """Design, fixed before the first run: y = x_1 + 0.5 e, each outcome
+        set to 0 where an independent uniform falls below 0.3 (so y still
+        depends on X through x_1 alone, and the slices have unequal sizes);
+        normal X, p = 10, H = 5 slices; RngStream(2026, rep) for 1,000
+        replicates at n = 250 and at n = 1,000; the share that rejects rank 1
+        at alpha = 0.05 lies in [0.02, 0.08]."""
+        assert 0.02 <= self.rejection_rate(n, 2026, tied_share=0.3) <= 0.08
 
 
 class TestEstimateCentralSubspace:
